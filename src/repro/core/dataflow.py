@@ -33,7 +33,7 @@ from repro.core.stt import STT
 from repro.ir.einsum import Statement
 from repro.ir.tensor import TensorAccess
 
-__all__ = ["DataflowType", "TensorDataflow", "DataflowSpec", "analyze"]
+__all__ = ["DataflowType", "TensorDataflow", "DataflowSpec", "analyze", "check_selection"]
 
 
 class DataflowType(enum.Enum):
@@ -268,6 +268,17 @@ class TensorDataflow:
         return f"{self.tensor_name}:{self.kind.value}[{dirs}]"
 
 
+def check_selection(statement: Statement, selected: Sequence[str], n: int = 3) -> None:
+    """Raise ``ValueError`` unless ``selected`` names ``n`` distinct loops of ``statement``."""
+    if len(selected) != n:
+        raise ValueError(f"need exactly {n} selected loops, got {selected}")
+    for name in selected:
+        if name not in statement.space:
+            raise ValueError(f"selected loop {name!r} not in {statement.space.names}")
+    if len(set(selected)) != len(selected):
+        raise ValueError(f"selected loops must be distinct: {selected}")
+
+
 class DataflowSpec:
     """A complete dataflow choice: statement + loop selection + STT.
 
@@ -277,17 +288,15 @@ class DataflowSpec:
     """
 
     def __init__(self, statement: Statement, selected: Sequence[str], stt: STT):
-        if len(selected) != stt.n:
-            raise ValueError(f"need exactly {stt.n} selected loops, got {selected}")
-        for name in selected:
-            if name not in statement.space:
-                raise ValueError(f"selected loop {name!r} not in {statement.space.names}")
-        if len(set(selected)) != len(selected):
-            raise ValueError(f"selected loops must be distinct: {selected}")
+        check_selection(statement, selected, stt.n)
         self.statement = statement
         self.selected = tuple(selected)
         self.stt = stt
         self._flows: tuple[TensorDataflow, ...] | None = None
+        #: The design's :func:`repro.core.enumerate.canonical_signature`, set
+        #: by canonical enumeration (which computes it in batch) so consumers
+        #: need not recompute it; ``None`` for specs built any other way.
+        self.canonical_key: tuple | None = None
 
     @property
     def flows(self) -> tuple[TensorDataflow, ...]:

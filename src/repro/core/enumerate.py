@@ -6,14 +6,26 @@ distinct Depthwise-Conv2D designs for a 16x16 array.  Distinctness is by
 (same dataflow type, same reuse directions) generate the same accelerator.
 
 Enumeration is *streaming*: :func:`iter_specs` and :func:`iter_designs` are
-lazy generators that walk complexity-ordered full-rank matrices and yield each
-surviving design as soon as it is found, so the space is never materialized
-and downstream consumers (:class:`repro.explore.engine.EvaluationEngine`) can
-evaluate, batch, or abort mid-stream.  Pruning is composable: the built-in
-predicates (dataflow-type filter, nearest-neighbour realizability,
-canonical-dedup via a shared signature cache) and arbitrary user predicates
-all plug into the same stream, and an :class:`EnumerationStats` counter
-records *why* candidates were dropped instead of silently discarding them.
+lazy generators that yield each surviving design as soon as it is found, so
+the space is never materialized and downstream consumers
+(:class:`repro.explore.engine.EvaluationEngine`) can evaluate, batch, or
+abort mid-stream.  Underneath, :func:`iter_specs` walks the process-wide,
+complexity-ordered candidate table in numpy blocks: 128 candidates first,
+doubling up to 4096, so a consumer that stops after a few designs pays for
+few candidates.  A tensor's reuse directions under ``T`` are ``T @ d`` for
+the integer nullspace ``d`` of its restricted access matrix, which depends
+only on the loop selection; one block is therefore one integer matrix
+product followed by array ops that orient, classify (Table I), apply the
+dataflow-type and nearest-neighbour filters, and encode each candidate's
+dedupe key as a row of integer codes (with ``canonical=True``, the least
+variant over the 8 array symmetries).  Only the first candidate with a given key — the
+simplest STT representative, since the table is complexity-ordered — becomes
+a :class:`DataflowSpec`, and it carries its canonical key
+(:attr:`DataflowSpec.canonical_key`) so that nothing downstream recomputes
+:func:`canonical_signature`.  User predicates still see every candidate that
+passes the built-in filters, in order, before the dedupe; an
+:class:`EnumerationStats` counter records *why* candidates were dropped, and
+is exact at every yield.
 
 :func:`enumerate_specs` / :func:`enumerate_designs` remain as thin eager
 wrappers producing the same designs in the same order.
@@ -25,8 +37,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.core.dataflow import DataflowSpec, DataflowType
-from repro.core.naming import stt_candidates
+import numpy as np
+
+from repro.core.dataflow import DataflowSpec, DataflowType, check_selection
+from repro.core.naming import _candidate_matrices
+from repro.core.reuse import orient, reuse_directions
+from repro.core.stt import STT
 from repro.ir.einsum import Statement
 
 __all__ = [
@@ -44,18 +60,20 @@ __all__ = [
 #: A composable pruning predicate: keep the spec when it returns True.
 Predicate = Callable[[DataflowSpec], bool]
 
-#: The 8 symmetries of a square PE array (dihedral group): relabelling PE
-#: coordinates produces electrically identical hardware, so the design-space
-#: sweep dedupes modulo these.
+#: The 8 symmetries of a square PE array (dihedral group), as 2x2 matrices
+#: ``((a, b), (c, d))`` mapping PE coordinates ``(p1, p2)`` to
+#: ``(a*p1 + b*p2, c*p1 + d*p2)``: relabelling PE coordinates produces
+#: electrically identical hardware, so the design-space sweep dedupes modulo
+#: these.
 _ARRAY_SYMMETRIES = (
-    lambda p1, p2: (p1, p2),
-    lambda p1, p2: (p2, p1),
-    lambda p1, p2: (-p1, p2),
-    lambda p1, p2: (p1, -p2),
-    lambda p1, p2: (-p1, -p2),
-    lambda p1, p2: (-p2, p1),
-    lambda p1, p2: (p2, -p1),
-    lambda p1, p2: (-p2, -p1),
+    ((1, 0), (0, 1)),
+    ((0, 1), (1, 0)),
+    ((-1, 0), (0, 1)),
+    ((1, 0), (0, -1)),
+    ((-1, 0), (0, -1)),
+    ((0, -1), (1, 0)),
+    ((0, 1), (-1, 0)),
+    ((0, -1), (-1, 0)),
 )
 
 
@@ -86,14 +104,13 @@ def canonical_signature(spec: DataflowSpec) -> tuple:
     lexicographically smallest variant.  Two specs with equal canonical
     signatures generate identical hardware up to mirroring/rotating the array.
     """
-    from repro.core.reuse import orient
-
     variants = []
-    for sym in _ARRAY_SYMMETRIES:
+    for (a, b), (c, d) in _ARRAY_SYMMETRIES:
         per_tensor = []
         for fl in spec.flows:
             basis = sorted(
-                orient((*sym(vec[0], vec[1]), vec[2])) for vec in fl.reuse.basis
+                orient((a * p1 + b * p2, c * p1 + d * p2, dt))
+                for p1, p2, dt in fl.reuse.basis
             )
             per_tensor.append((fl.tensor_name, fl.kind.value, tuple(basis)))
         variants.append(tuple(per_tensor))
@@ -155,6 +172,131 @@ class EnumerationStats:
         )
 
 
+#: Candidate block sizes.  The first block is small so that enumeration
+#: bounded by a ``limit`` stays cheap; later blocks double to amortize the
+#: fixed per-block cost.
+_FIRST_BLOCK = 128
+_MAX_BLOCK = 4096
+
+#: Dataflow types by the small-int code the block arrays carry.
+_KINDS = tuple(DataflowType)
+_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+
+#: A block candidate's fate under the built-in filters, in filter order.
+_PASS, _WRONG_TYPE, _UNREALIZABLE = 0, 1, 2
+
+
+def _lex_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise lexicographic minimum of two equal-shape 2-D int arrays."""
+    if not a.shape[1]:
+        return a
+    col = (a != b).argmax(axis=1)
+    rows = np.arange(len(a))
+    return np.where((b[rows, col] < a[rows, col])[:, None], b, a)
+
+
+class _SelectionBlocks:
+    """Batched classification of candidate STTs for one loop selection.
+
+    Each tensor's reuse directions under ``T`` are ``T @ d`` for the fixed
+    nullspace vectors ``d`` of its restricted access matrix; they are
+    stacked as the ``K`` columns of ``self.directions``, tensor after tensor.
+    A reuse vector ``(p1, p2, dt)`` is encoded as the balanced-radix integer
+    ``(p1 * R + p2) * R + dt``, which orders codes as the vectors order
+    lexicographically, so dedupe keys are rows of ``K`` int64 codes.
+    """
+
+    def __init__(self, statement: Statement, selected: tuple[str, ...], bound: int):
+        self.statement = statement
+        self.selected = selected
+        self.names = statement.tensor_names
+        dirs = [reuse_directions(acc.restrict(selected)) for acc in statement.accesses]
+        starts = itertools.accumulate((len(d) for d in dirs), initial=0)
+        self.groups = [(s, len(d)) for s, d in zip(starts, dirs)]  # (first column, reuse dim)
+        cols = [v for d in dirs for v in d]
+        self.directions = np.array(cols, dtype=np.int32).reshape(-1, 3).T
+        # every component of T @ d is at most bound * sum|d| in magnitude
+        self.radix = 2 * bound * max((sum(map(abs, v)) for v in cols), default=0) + 1
+        if self.radix**3 > np.iinfo(np.int64).max:
+            raise ValueError(f"access coefficients of {statement.name} are too large to enumerate")
+
+    def reuse(self, block: np.ndarray) -> np.ndarray:
+        """``(B, 3, K)``: every candidate's unoriented reuse vectors."""
+        flat = block.reshape(-1, 3).astype(np.int32) @ self.directions
+        return flat.reshape(len(block), 3, self.directions.shape[1])
+
+    def classify(self, vecs: np.ndarray) -> np.ndarray:
+        """``(B, tensors)`` dataflow-type codes, by the rules of :func:`classify`."""
+        p1, p2, dt = vecs[:, 0], vecs[:, 1], vecs[:, 2]
+        kinds = np.empty((len(vecs), len(self.groups)), dtype=np.int8)
+        for t, (s, dim) in enumerate(self.groups):
+            if dim in (0, 3):
+                kinds[:, t] = _CODE[DataflowType.UNICAST if dim == 0 else DataflowType.FULL_REUSE]
+                continue
+            if dim == 1:
+                conds = [(p1[:, s] == 0) & (p2[:, s] == 0), dt[:, s] == 0]
+                types = (DataflowType.STATIONARY, DataflowType.MULTICAST, DataflowType.SYSTOLIC)
+            else:
+                # the space cross product is zero when the reuse plane holds the t-axis
+                cross = p1[:, s] * p2[:, s + 1] - p2[:, s] * p1[:, s + 1]
+                conds = [(dt[:, s] == 0) & (dt[:, s + 1] == 0), cross == 0]
+                types = (
+                    DataflowType.BROADCAST,
+                    DataflowType.MULTICAST_STATIONARY,
+                    DataflowType.SYSTOLIC_MULTICAST,
+                )
+            kinds[:, t] = np.select(conds, [_CODE[k] for k in types[:2]], _CODE[types[2]])
+        return kinds
+
+    def _codes(self, p1: np.ndarray, p2: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """Codes of the oriented vectors.  :func:`orient` picks the sign that
+        makes ``(dt, p1, p2)`` lexicographically positive, which is the sign
+        of that triple's own balanced-radix code."""
+        r = self.radix
+        return np.sign((dt * r + p1) * r + p2) * ((p1 * r + p2) * r + dt)
+
+    def keys(self, vecs: np.ndarray, canonical: bool) -> np.ndarray:
+        """``(B, K)`` dedupe keys: the oriented reuse vectors, or with
+        ``canonical`` the least variant over the array symmetries, each
+        tensor's vectors sorted (as :func:`canonical_signature` does)."""
+        vecs = vecs.astype(np.int64)
+        p1, p2, dt = vecs[:, 0], vecs[:, 1], vecs[:, 2]
+        if not canonical:
+            return self._codes(p1, p2, dt)
+        best = None
+        for (a, b), (c, d) in _ARRAY_SYMMETRIES:
+            codes = self._codes(a * p1 + b * p2, c * p1 + d * p2, dt)
+            for s, dim in self.groups:
+                if dim > 1:
+                    codes[:, s : s + dim].sort(axis=1)
+            best = codes if best is None else _lex_min(best, codes)
+        return best
+
+    def signature(self, key: tuple[int, ...], kinds: Sequence[int]) -> tuple:
+        """The :func:`canonical_signature` a canonical ``key`` encodes."""
+        r, half = self.radix, self.radix // 2
+        vecs = []
+        for code in key:
+            dt = (code + half) % r - half
+            code = (code - dt) // r
+            p2 = (code + half) % r - half
+            vecs.append(((code - p2) // r, p2, dt))
+        return tuple(
+            (name, _KINDS[kind].value, tuple(vecs[s : s + dim]))
+            for name, kind, (s, dim) in zip(self.names, kinds, self.groups)
+        )
+
+    def spec(self, matrix: np.ndarray) -> DataflowSpec:
+        return DataflowSpec(self.statement, self.selected, STT(matrix.tolist()))
+
+
+def _tally(stats: EnumerationStats, fates: np.ndarray) -> None:
+    """Count a run of candidates and their built-in-filter rejections."""
+    stats.candidates += len(fates)
+    stats.type_filtered += int(np.count_nonzero(fates == _WRONG_TYPE))
+    stats.unrealizable += int(np.count_nonzero(fates == _UNREALIZABLE))
+
+
 def iter_specs(
     statement: Statement,
     selected: Sequence[str],
@@ -165,51 +307,70 @@ def iter_specs(
     realizable_only: bool = False,
     canonical: bool = False,
     predicates: Sequence[Predicate] = (),
-    seen: set | None = None,
     stats: EnumerationStats | None = None,
 ) -> Iterator[DataflowSpec]:
     """Stream distinct dataflow designs for one loop selection.
 
     Deduplicates on :meth:`DataflowSpec.signature` (or
     :func:`canonical_signature` with ``canonical=True``) and keeps the
-    simplest STT representative of each design (the candidate stream is
-    complexity-ordered).  ``realizable_only`` restricts to nearest-neighbour
-    interconnect, matching the paper's synthesized sweeps.  ``predicates``
-    are extra user filters applied after the built-in ones; ``seen`` lets a
-    caller share one signature cache across selections; ``stats`` tallies
-    every rejection reason.
+    simplest STT representative of each design (the candidate table is
+    complexity-ordered); canonical survivors carry their signature as
+    :attr:`DataflowSpec.canonical_key`.  ``realizable_only`` restricts to
+    nearest-neighbour interconnect, matching the paper's synthesized sweeps.
+    ``predicates`` are extra user filters applied after the built-in ones and
+    before the dedupe; ``stats`` tallies every rejection reason.
     """
-    seen = seen if seen is not None else set()
     stats = stats if stats is not None else EnumerationStats()
+    table = _candidate_matrices(bound)
+    try:
+        check_selection(statement, selected)
+    except ValueError:
+        stats.candidates += len(table)
+        stats.invalid += len(table)
+        return
+    blocks = _SelectionBlocks(statement, tuple(selected), bound)
+    allowed = None
+    if allowed_types is not None:
+        allowed = np.array([kind in allowed_types for kind in _KINDS])
+    seen: set[tuple] = set()
     count = 0
-    for stt in stt_candidates(bound):
-        stats.candidates += 1
-        try:
-            spec = DataflowSpec(statement, selected, stt)
-        except ValueError:
-            stats.invalid += 1
-            continue
-        if allowed_types is not None and any(
-            fl.kind not in allowed_types for fl in spec.flows
-        ):
-            stats.type_filtered += 1
-            continue
-        if realizable_only and not is_realizable(spec):
-            stats.unrealizable += 1
-            continue
-        if predicates and not all(pred(spec) for pred in predicates):
-            stats.predicate_filtered += 1
-            continue
-        sig = canonical_signature(spec) if canonical else spec.signature()
-        if sig in seen:
-            stats.duplicates += 1
-            continue
-        seen.add(sig)
-        stats.yielded += 1
-        yield spec
-        count += 1
-        if limit is not None and count >= limit:
-            return
+    lo, size = 0, _FIRST_BLOCK
+    while lo < len(table):
+        block = table[lo : lo + size]
+        lo, size = lo + len(block), min(2 * size, _MAX_BLOCK)
+        vecs = blocks.reuse(block)
+        kinds = blocks.classify(vecs)
+        fates = np.full(len(block), _PASS, dtype=np.int8)
+        if realizable_only:
+            fates[(np.abs(vecs) > 1).any(axis=(1, 2))] = _UNREALIZABLE
+        if allowed is not None:
+            fates[~allowed[kinds].all(axis=1)] = _WRONG_TYPE
+        passing = np.flatnonzero(fates == _PASS)
+        keys = blocks.keys(vecs[passing], canonical).tolist()
+        done = 0
+        for i, key in zip(passing.tolist(), map(tuple, keys)):
+            spec = None
+            if predicates:
+                spec = blocks.spec(block[i])
+                if not all(pred(spec) for pred in predicates):
+                    stats.predicate_filtered += 1
+                    continue
+            if key in seen:
+                stats.duplicates += 1
+                continue
+            seen.add(key)
+            if spec is None:
+                spec = blocks.spec(block[i])
+            if canonical:
+                spec.canonical_key = blocks.signature(key, kinds[i].tolist())
+            _tally(stats, fates[done : i + 1])
+            done = i + 1
+            stats.yielded += 1
+            yield spec
+            count += 1
+            if limit is not None and count >= limit:
+                return
+        _tally(stats, fates[done:])
 
 
 def enumerate_specs(
@@ -285,7 +446,6 @@ def iter_designs(
     if canonical and selections is None:
         chosen = sorted({tuple(sorted(sel)) for sel in chosen})
     for sel in chosen:
-        per_sel_seen: set[tuple] = set()
         for spec in iter_specs(
             statement,
             tuple(sel),
@@ -295,11 +455,10 @@ def iter_designs(
             realizable_only=realizable_only,
             canonical=canonical,
             predicates=predicates,
-            seen=per_sel_seen,
             stats=stats,
         ):
             sig = (
-                (tuple(sorted(sel)), canonical_signature(spec))
+                (tuple(sorted(sel)), spec.canonical_key)
                 if canonical
                 else spec.signature()
             )

@@ -26,7 +26,8 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from repro.core import linalg
+import numpy as np
+
 from repro.core.dataflow import DataflowSpec
 from repro.core.stt import STT
 from repro.ir.einsum import Statement
@@ -37,6 +38,8 @@ __all__ = [
     "matching_specs",
     "best_spec_from_name",
     "stt_candidates",
+    "check_bound",
+    "MAX_BOUND",
     "letters_match",
     "KNOWN_GEMM_DATAFLOWS",
 ]
@@ -92,38 +95,65 @@ def parse_name(name: str) -> tuple[tuple[str, ...], str]:
     return selected, letters
 
 
-def _matrix_complexity(matrix: tuple[tuple[int, ...], ...]) -> tuple:
-    """Sort key preferring simple, hardware-friendly STT matrices.
+#: Largest supported candidate entry bound.  Bound 1 is 11,808 full-rank
+#: matrices; bound 2 is 1.6M (about 1 s and 200 MB peak to build, then
+#: cached for the life of the process); bound 3 would be about 40M.
+MAX_BOUND = 2
 
-    Permutation matrices come first, then single-skew variants like the
-    paper's ``[[1,0,0],[0,1,0],[1,1,1]]``, then denser matrices.  Non-negative
-    entries are preferred (negative steps mean reversed interconnect).
+
+def check_bound(bound: object) -> None:
+    """Validate an STT entry bound, which arrives from request options."""
+    if isinstance(bound, bool) or not isinstance(bound, int) or not 1 <= bound <= MAX_BOUND:
+        raise ValueError(f"bound must be an integer in 1..{MAX_BOUND}, got {bound!r}")
+
+
+# typed caches, so that True or 1.0 is checked rather than served bound 1
+@lru_cache(maxsize=None, typed=True)
+def _candidate_matrices(bound: int) -> np.ndarray:
+    """All full-rank 3x3 matrices with entries in ``[-bound, bound]``, as a
+    read-only ``(n, 3, 3)`` int8 array in complexity order.
+
+    The order prefers simple, hardware-friendly STT matrices: smallest
+    space-row weight first (permutation matrices, then single-skew variants
+    like the paper's ``[[1,0,0],[0,1,0],[1,1,1]]``, then denser matrices),
+    then smallest total weight, then fewest negative entries (negative steps
+    mean reversed interconnect), then the flattened entries.  Cached: the
+    bound-1 table is shared by every name lookup and by design-space
+    enumeration.
     """
-    flat = [v for row in matrix for v in row]
-    abs_sum = sum(abs(v) for v in flat)
-    negatives = sum(1 for v in flat if v < 0)
-    space_weight = sum(abs(v) for row in matrix[:2] for v in row)
-    return (space_weight, abs_sum, negatives, flat)
+    check_bound(bound)
+    values = np.arange(-bound, bound + 1, dtype=np.int8)
+    flat = np.stack(np.meshgrid(*[values] * 9, indexing="ij"), axis=-1).reshape(-1, 9)
+    a, b, c, d, e, f, g, h, i = flat.T.astype(np.int16)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    flat = flat[det != 0]
+    mags = np.abs(flat)
+    order = np.lexsort(
+        (*flat.T[::-1], (flat < 0).sum(axis=1), mags.sum(axis=1), mags[:, :6].sum(axis=1))
+    )
+    table = flat[order].reshape(-1, 3, 3)
+    table.flags.writeable = False
+    return table
 
 
-@lru_cache(maxsize=None)
-def _candidate_matrices(bound: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All full-rank 3x3 matrices with entries in ``[-bound, bound]``,
-    complexity-ordered.  Cached: the bound-1 set (17k matrices) is reused by
-    every name lookup and by design-space enumeration."""
+@lru_cache(maxsize=None, typed=True)
+def _candidate_tuples(bound: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """:func:`_candidate_matrices` as nested tuples of ``int``, for name search.
+
+    Built from the ``(2 * bound + 1) ** 3`` distinct rows, which the matrices
+    share, without materializing the table as nested lists.
+    """
+    table = _candidate_matrices(bound)
     values = range(-bound, bound + 1)
-    out = []
-    for flat in itertools.product(values, repeat=9):
-        matrix = (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9]))
-        if linalg.determinant(matrix) != 0:
-            out.append(matrix)
-    out.sort(key=_matrix_complexity)
-    return tuple(out)
+    rows = list(itertools.product(values, repeat=3))  # indexed by the row's base-len(values) code
+    codes = (table + bound) @ np.array([len(values) ** 2, len(values), 1])
+    first, second, third = (map(rows.__getitem__, col) for col in codes.T.tolist())
+    return tuple(zip(first, second, third))
 
 
 def stt_candidates(bound: int = 1) -> Iterator[STT]:
     """Complexity-ordered stream of valid STT matrices."""
-    for matrix in _candidate_matrices(bound):
+    for matrix in _candidate_tuples(bound):
         yield STT(matrix)
 
 

@@ -29,7 +29,7 @@ from repro.core import linalg
 from repro.core.linalg import IntVector
 from repro.core.stt import STT
 
-__all__ = ["ReuseSpace", "reuse_space", "orient", "TIME_AXIS"]
+__all__ = ["ReuseSpace", "reuse_space", "reuse_directions", "orient", "TIME_AXIS"]
 
 #: The time axis direction in space-time coordinates.
 TIME_AXIS: IntVector = (0, 0, 1)
@@ -107,6 +107,19 @@ class ReuseSpace:
         return all(vec[-1] == 0 for vec in self.basis)
 
 
+def reuse_directions(access_sub: Sequence[Sequence[int]], n: int = 3) -> tuple[IntVector, ...]:
+    """Primitive iteration-space reuse directions: the nullspace of ``access_sub``.
+
+    They depend only on the access and the loop selection, so a sweep over
+    many STTs solves them once and maps them through each ``T``.
+    """
+    if not access_sub or len(access_sub[0]) != n:
+        raise ValueError(
+            f"restricted access matrix must have {n} columns, got {access_sub}"
+        )
+    return linalg.nullspace(access_sub)
+
+
 def reuse_space(access_sub: Sequence[Sequence[int]], stt: STT) -> ReuseSpace:
     """Compute a tensor's reuse subspace under an STT.
 
@@ -119,13 +132,9 @@ def reuse_space(access_sub: Sequence[Sequence[int]], stt: STT) -> ReuseSpace:
     stage — an array-wide reduction for outputs, an array-wide broadcast of a
     held value for inputs.
     """
-    if not access_sub or len(access_sub[0]) != stt.n:
-        raise ValueError(
-            f"restricted access matrix must have {stt.n} columns, got {access_sub}"
-        )
     basis: list[IntVector] = []
     iter_basis: list[IntVector] = []
-    for it_dir in linalg.nullspace(access_sub):
+    for it_dir in reuse_directions(access_sub, stt.n):
         mapped = linalg.mat_vec(stt.matrix, it_dir)
         oriented = orient(mapped)
         basis.append(oriented)

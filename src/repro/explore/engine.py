@@ -7,9 +7,10 @@ benchmarks) runs through:
 
 1. **Enumerate** — :func:`repro.core.enumerate.iter_designs` streams the STT
    space lazily; the space is never materialized up front.
-2. **Prune** — composable predicates (nearest-neighbour realizability,
-   dataflow-type filters, canonical-dedup signature cache, user filters) drop
-   candidates in-stream, with every rejection reason tallied.
+2. **Prune** — built-in filters (nearest-neighbour realizability,
+   dataflow-type filters, canonical dedupe), batched over candidate blocks,
+   and composable user predicates drop candidates in-stream, with every
+   rejection reason tallied.
 3. **Evaluate** — each surviving design runs through the performance and cost
    models, either serially or on a process pool (``workers=N``) in
    deterministically-ordered chunks; results are bit-identical either way.
@@ -223,7 +224,7 @@ class MemoCache:
       cost_params)``.
     - ``spaces`` — enumerated design spaces as ``(selection, STT matrix)``
       pairs keyed by the statement and enumeration options; a hit skips the
-      full STT-candidate walk (the dominant cost of a cold sweep).
+      STT-candidate walk.
     - ``names`` — resolved paper dataflow names (``MNK-SST`` -> simplest best
       STT) keyed by statement, name and scoring configuration.
     - ``api`` — whole :class:`repro.api.EvalResult` payloads keyed by the
@@ -502,8 +503,9 @@ class EvaluationEngine:
         # Canonical signatures identify hardware up to mirroring/rotating the
         # array, which only preserves the models' outputs when the array is
         # square; rectangular arrays fall back to the exact signature.
+        # Canonical enumeration hands its specs over with the key computed.
         if self.array.rows == self.array.cols:
-            sig = canonical_signature(spec)
+            sig = spec.canonical_key or canonical_signature(spec)
         else:
             sig = spec.signature()
         return repr(

@@ -35,6 +35,7 @@ from typing import Any, Mapping, NoReturn
 from repro.api.types import SchemaVersionError
 from repro.core.dataflow import DataflowSpec
 from repro.core.enumerate import EnumerationStats
+from repro.core.naming import check_bound
 from repro.core.stt import STT
 from repro.explore.engine import (
     DesignFailure,
@@ -150,7 +151,8 @@ def engine_options(payload: Mapping[str, Any]) -> dict[str, Any]:
 
     Shared by the server (validating incoming payloads) and the sweep
     coordinator (validating before anything is submitted), so both ends
-    reject the same unknown names with the same message.
+    reject the same unknown names, and a ``bound`` outside
+    ``1..MAX_BOUND``, with the same message.
     """
     options = payload.get("options") or {}
     unknown = sorted(set(options) - set(ENGINE_OPTIONS))
@@ -159,6 +161,10 @@ def engine_options(payload: Mapping[str, Any]) -> dict[str, Any]:
             f"unknown explore option(s) {unknown}; known: {sorted(ENGINE_OPTIONS)}"
         )
     out = dict(options)
+    if "bound" in out:
+        # the candidate table grows as (2 * bound + 1) ** 9 and is cached for
+        # the life of the process: refuse a large bound before any work
+        check_bound(out["bound"])
     if out.get("selections") is not None:
         out["selections"] = [tuple(sel) for sel in out["selections"]]
     return out

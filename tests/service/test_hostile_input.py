@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import LocalSession
+from repro.api import DesignRequest, LocalSession
 from repro.perf.model import ArrayConfig
 from repro.service import ServiceThread
 from repro.service import wire
@@ -191,3 +191,49 @@ class TestJobCap:
         with pytest.raises(wire.PayloadTooLargeError):
             wire.bounded_body(str(wire.MAX_BODY_BYTES + 1))
         assert issubclass(wire.PayloadTooLargeError, ValueError)
+
+
+class TestBoundCap:
+    """``bound`` sizes a process-wide, never-evicted candidate table that
+    grows as ``(2 * bound + 1) ** 9``: anything outside ``1..2`` is refused
+    before any of it is built."""
+
+    GEMM = {"workload": "gemm", "extents": {"m": 4, "n": 4, "k": 4}}
+
+    @pytest.mark.parametrize("bound", [0, 3, 40, -1, "2", True, 1.5, None])
+    def test_job_with_a_bound_outside_1_to_2_is_400_at_submit(self, service, bound):
+        body = json.dumps(
+            {"workloads": ["gemm"], "extents": self.GEMM["extents"], "options": {"bound": bound}}
+        ).encode()
+        status, raw = _post(service, "/v1/jobs", body)
+        assert status == 400
+        assert "bound" in json.loads(raw)["error"]
+
+    def test_explore_with_bound_3_is_400_before_the_stream(self, service):
+        body = json.dumps(dict(self.GEMM, options={"bound": 3})).encode()
+        status, raw = _post(service, "/v1/explore", body)
+        assert status == 400
+        assert "bound" in json.loads(raw)["error"]
+
+    def test_evaluate_with_bound_3_is_a_resolve_failure(self, service):
+        request = DesignRequest(workload="gemm", extents=self.GEMM["extents"],
+                                dataflow="MNK-SST", options={"bound": 3})
+        status, raw = _post(service, "/v1/evaluate", request.to_json().encode())
+        assert status == 200
+        payload = json.loads(raw)
+        assert payload["ok"] is False
+        assert payload["failure_stage"] == "resolve"
+        assert "bound" in payload["failure_reason"]
+
+    def test_evaluate_names_with_bound_0_is_400(self, service):
+        body = json.dumps(dict(self.GEMM, names=["MNK-SST"], bound=0)).encode()
+        status, raw = _post(service, "/v1/evaluate_names", body)
+        assert status == 400
+        assert "bound" in json.loads(raw)["error"]
+
+    def test_engine_options_unit_contract(self):
+        assert wire.engine_options({"options": {"bound": 2}}) == {"bound": 2}
+        assert wire.engine_options({"options": {"bound": 1}}) == {"bound": 1}
+        for bound in (0, 3, "1", False):
+            with pytest.raises(ValueError, match="bound"):
+                wire.engine_options({"options": {"bound": bound}})
