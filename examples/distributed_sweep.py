@@ -4,9 +4,9 @@
 ``LocalSession``, but its ``sweep()`` shards the workload x config grid
 across every ``repro serve`` instance it was given: each (config, workload)
 pair rides the job API of one server, dead servers forfeit their shards to
-the survivors, servers without job capacity get their shards as chunked
-``evaluate_many`` batches — and the folded answer is bit-identical to
-running everything in-process.
+the survivors, a server whose job queue is full gets its shard again after
+a back-off — and the folded answer is bit-identical to running everything
+in-process.
 
 This walkthrough stands up two real services on background threads (the
 in-process stand-in for two ``python -m repro.cli serve`` machines), runs a

@@ -304,8 +304,8 @@ def cmd_sweep(args) -> int:
     print(
         f"coordinated {report['items']} item(s) in {report['shards']} shard(s) "
         f"over {report['servers']} server(s): {report['jobs']} job(s), "
-        f"{report['rows_streamed']} row(s) streamed, {report['fallbacks']} "
-        f"evaluate_many fallback(s), {report['reassigned']} reassigned, "
+        f"{report['rows_streamed']} row(s) streamed, {report['busy']} "
+        f"busy answer(s), {report['reassigned']} reassigned, "
         f"{report['servers_lost']} server(s) lost"
     )
     if report.get("resumed"):
@@ -441,12 +441,16 @@ def cmd_serve(args) -> int:
         # the file after every request would throttle the whole server
         autoflush=False,
     )
-    service = EvaluationService(
-        session,
-        max_queued_jobs=args.max_jobs,
-        max_body_bytes=args.max_body_bytes,
-        journal_dir=args.journal_dir,
-    )
+    try:
+        service = EvaluationService(
+            session,
+            max_queued_jobs=args.max_jobs,
+            max_body_bytes=args.max_body_bytes,
+            journal_dir=args.journal_dir,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     async def run() -> None:
         server = await service.start(args.host, args.port)
@@ -756,7 +760,8 @@ def main(argv: list[str] | None = None) -> int:
         "--cache", metavar="PATH", help="server-side JSON memo cache (shared by all clients)"
     )
     p_serve.add_argument(
-        "--max-jobs", type=int, default=16, help="bound on the queued-sweep job queue"
+        "--max-jobs", type=int, default=16,
+        help="bound on the queued-sweep job queue (at least 1; a full queue answers 503)",
     )
     p_serve.add_argument(
         "--max-body-bytes",

@@ -659,38 +659,28 @@ class EvaluationEngine:
             source = specs
         else:
             source = self.iter_space(statement, stats=stats, **space_kwargs)
+
+        def lookup(spec: DataflowSpec):
+            return self._lookup(statement, spec, stats)
+
+        if workers <= 1:
+            outcomes = self._iter_serial(source, lookup, stats)
+        else:
+            outcomes = self._iter_parallel(source, workers, lookup, stats, pool=pool)
         seq = seq_start
         try:
-            if workers <= 1:
-                for spec in source:
-                    outcome, key = self._lookup(statement, spec, stats)
-                    if outcome is None:
-                        outcome = _evaluate_one(spec, self.perf, self.cost)
-                        stats.evaluated += 1
-                    if key is not None:
-                        self.cache.put("points", key, list(outcome))
-                    point = self._point_from_outcome(spec, outcome)
-                    if not point.ok:
-                        stats.skipped += 1
-                    seq += 1
-                    point.seq = seq
-                    yield point
-            else:
-                def lookup(spec: DataflowSpec):
-                    return self._lookup(statement, spec, stats)
-
-                for spec, outcome, key in self._iter_parallel(
-                    source, workers, lookup, stats, pool=pool
-                ):
-                    if key is not None:
-                        self.cache.put("points", key, list(outcome))
-                    point = self._point_from_outcome(spec, outcome)
-                    if not point.ok:
-                        stats.skipped += 1
-                    seq += 1
-                    point.seq = seq
-                    yield point
+            for spec, outcome, key in outcomes:
+                if key is not None:
+                    self.cache.put("points", key, list(outcome))
+                point = self._point_from_outcome(spec, outcome)
+                if not point.ok:
+                    stats.skipped += 1
+                seq += 1
+                point.seq = seq
+                yield point
         finally:
+            # an abandoned stream must still shut down a pool it owns
+            outcomes.close()
             self._flush()
 
     def evaluate(
@@ -708,7 +698,7 @@ class EvaluationEngine:
         workers: int | None = None,
         pool: ProcessPoolExecutor | None = None,
     ) -> EvaluationResult:
-        """Run the full pipeline for one workload.
+        """Run the full pipeline for one workload: a fold over :meth:`stream`.
 
         ``specs`` bypasses enumeration (evaluate an explicit design list).
         Points come back in enumeration order regardless of ``workers``.
@@ -716,24 +706,15 @@ class EvaluationEngine:
         caller keeps ownership (``sweep()`` shares one pool across all of its
         runs instead of forking a fresh pool per workload).
         """
-        workers = self.workers if workers is None else workers
         stats = EvaluationStats()
-
-        # Stream through the memo cache and the models: a design is evaluated
-        # (or resolved from cache) as it comes off the enumeration stream —
-        # only the result points are retained, never the un-evaluated space.
         points: list[DesignPoint] = []
         failures: list[DesignPoint] = []
-
-        def emit(spec: DataflowSpec, outcome: tuple, key: str | None) -> None:
-            if key is not None:
-                self.cache.put("points", key, list(outcome))
-            point = self._point_from_outcome(spec, outcome)
-            # same seq a serial stream() would assign: emission order
-            point.seq = len(points) + len(failures) + 1
-            (points if point.ok else failures).append(point)
-
-        space_kwargs = dict(
+        for point in self.stream(
+            statement,
+            specs=specs,
+            stats=stats,
+            workers=workers,
+            pool=pool,
             one_d_only=one_d_only,
             selections=selections,
             predicates=predicates,
@@ -741,28 +722,8 @@ class EvaluationEngine:
             per_selection_limit=per_selection_limit,
             realizable_only=realizable_only,
             canonical=canonical,
-        )
-        if workers <= 1:
-            # explicit workers=0: stream() defaults to self.workers, but this
-            # call's (possibly overridden) worker count must govern
-            for point in self.stream(
-                statement, specs=specs, stats=stats, workers=0, **space_kwargs
-            ):
-                (points if point.ok else failures).append(point)
-        else:
-            stream: Iterable[DataflowSpec]
-            if specs is not None:
-                stream = specs
-            else:
-                stream = self.iter_space(statement, stats=stats, **space_kwargs)
-
-            def lookup(spec: DataflowSpec):
-                return self._lookup(statement, spec, stats)
-
-            self._evaluate_parallel(stream, workers, lookup, emit, stats, pool=pool)
-
-        stats.skipped = len(failures)
-        self._flush()
+        ):
+            (points if point.ok else failures).append(point)
         return EvaluationResult(
             workload=statement.name,
             array=self.array,
@@ -771,14 +732,18 @@ class EvaluationEngine:
             stats=stats,
         )
 
-    def _evaluate_parallel(
-        self, stream, workers, lookup, emit, stats, pool: ProcessPoolExecutor | None = None
-    ) -> None:
-        """Callback face of :meth:`_iter_parallel` (the ``evaluate()`` path)."""
-        for spec, outcome, key in self._iter_parallel(
-            stream, workers, lookup, stats, pool=pool
-        ):
-            emit(spec, outcome, key)
+    def _iter_serial(self, stream, lookup, stats) -> Iterator[tuple]:
+        """In-process evaluation, one design at a time, enumeration order.
+
+        Yields the same ``(spec, outcome, cache-put-key-or-None)`` triples
+        as :meth:`_iter_parallel`.
+        """
+        for spec in stream:
+            outcome, key = lookup(spec)
+            if outcome is None:
+                outcome = _evaluate_one(spec, self.perf, self.cost)
+                stats.evaluated += 1
+            yield spec, outcome, key
 
     def _iter_parallel(
         self, stream, workers, lookup, stats, pool: ProcessPoolExecutor | None = None

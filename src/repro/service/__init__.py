@@ -19,8 +19,8 @@ PR 2 made every evaluation a versioned, JSON-round-trippable
 - :class:`~repro.service.coordinator.SweepCoordinator` /
   :class:`~repro.service.coordinator.CoordinatedSession` — shard a
   ``sweep()`` across several servers via the job API (capacity-weighted
-  inflight, ``shard_size`` item grouping, incremental row-cursor folding,
-  failure reassignment and an ``evaluate_many`` fallback) and fold the
+  inflight, ``shard_size`` item grouping, incremental row-stream folding,
+  failure reassignment and back-off on a full job queue) and fold the
   results and memo caches back together, via ``repro sweep --url A --url B``
   — the fleet runbook is ``docs/deployment.md``.
 

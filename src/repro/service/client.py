@@ -346,7 +346,6 @@ class RemoteSession(SessionBase):
         *,
         configs: Sequence[ArrayConfig] | None = None,
         extents: Mapping[str, int] | None = None,
-        include_rows: bool = False,
         stream_rows: bool = False,
         submit_key: str | None = None,
         **engine_options,
@@ -359,13 +358,11 @@ class RemoteSession(SessionBase):
         items into one job).  ``stream_rows=True`` asks the server to keep
         every evaluated design in the job's incremental row log, served by
         :meth:`poll_job` ``since=`` cursors and :meth:`iter_job_rows` *while
-        the job runs*; ``include_rows=True`` additionally embeds the full row
-        list in each finished record (one self-contained terminal snapshot,
-        at the cost of re-shipping every row).  ``submit_key`` makes the
-        submit idempotent: a retry that lost the response (the one POST on
-        this surface that is *not* naturally idempotent) gets the original
-        job back instead of enqueueing a duplicate.  A full or disabled job
-        queue raises :class:`~repro.service.wire.ServiceBusyError` (503).
+        the job runs*.  ``submit_key`` makes the submit idempotent: a retry
+        that lost the response (the one POST on this surface that is *not*
+        naturally idempotent) gets the original job back instead of
+        enqueueing a duplicate.  A full job queue raises
+        :class:`~repro.service.wire.ServiceBusyError` (503).
         """
         payload: dict[str, Any] = {
             "workloads": [
@@ -376,8 +373,6 @@ class RemoteSession(SessionBase):
             payload["configs"] = [wire.array_to_dict(c) for c in configs]
         if extents:
             payload["extents"] = dict(extents)
-        if include_rows:
-            payload["include_rows"] = True
         if stream_rows:
             payload["stream_rows"] = True
         if submit_key is not None:
@@ -399,7 +394,7 @@ class RemoteSession(SessionBase):
         job's log (``since`` beyond the end — e.g. after the job was re-run)
         comes back as the **full** row list with ``cursor_reset: true``: drop
         the rows folded so far and rebuild from this snapshot.  Requires the
-        job to have been submitted with ``stream_rows`` or ``include_rows``.
+        job to have been submitted with ``stream_rows``.
         """
         path = f"/v1/jobs/{job_id}"
         if since is not None:

@@ -31,15 +31,16 @@ How a sweep runs
    Every row crosses a bounded :class:`asyncio.Queue` into the *single*
    folder lane, which rebuilds real :class:`DesignPoint` objects in wire
    order — fold work overlaps evaluation across the whole fleet, yet stays
-   single-threaded and bit-identical to a local sweep.  The terminal poll
-   just closes the books (per-item stats) instead of re-shipping the
-   design list; a ``cursor_reset`` (the server no longer recognizes the
-   cursor) drops the shard's partial fold and rebuilds from the replay.
-4. **Fallback** — a server that answers 503 (job queue full, or started
-   with ``--max-jobs 0``) is not dead, it just has no job capacity: the
-   shard's design space is enumerated coordinator-side and shipped as
-   chunked ``evaluate_many`` batches of explicit ``selection``+``stt``
-   perf/cost request pairs instead.
+   single-threaded and bit-identical to a local sweep.  The stream's
+   ``end`` frame embeds the terminal snapshot (per-item stats), which
+   closes the books without re-shipping the design list; a reset frame
+   (the server no longer recognizes the cursor) drops the shard's partial
+   fold and rebuilds from the replay.
+4. **Back-off** — a server that answers 503 (its job queue is full of
+   other clients' jobs) is not dead, just busy: the shard goes back to the
+   head of the queue, costing no retry and excluding no server, and the
+   lane waits ``poll_interval`` before pulling work again.  Busy answers
+   are counted in ``last_report["busy"]``.
 5. **Reassign** — a server that stops answering (killed mid-sweep,
    connection refused/reset, a row stream that dies and cannot resume) —
    or that *restarted* and forgot the job — forfeits the shard *the moment
@@ -92,13 +93,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.api.protocol import SessionBase
 from repro.api.types import DesignRequest, EvalResult
 from repro.cost.model import CostParams
-from repro.explore.engine import (
-    DesignPoint,
-    EvaluationEngine,
-    EvaluationResult,
-    EvaluationStats,
-    MemoCache,
-)
+from repro.explore.engine import DesignPoint, EvaluationResult, MemoCache
 from repro.ir.einsum import Statement
 from repro.perf.model import ArrayConfig
 from repro.service import wire
@@ -107,11 +102,15 @@ from repro.service.wire import ServiceBusyError
 
 __all__ = ["SweepCoordinator", "CoordinatedSession"]
 
+#: Requests per chunk when :meth:`CoordinatedSession.evaluate_many` spreads a
+#: batch across the fleet.
+_EVALUATE_MANY_CHUNK = 64
+
 #: Transport failures that mean "this server is gone", triggering shard
 #: reassignment.  HTTPException covers a server dying *mid-response*
 #: (IncompleteRead/BadStatusLine escape the client's retry loop once its
 #: budget is spent).  ServiceBusyError is deliberately *not* here — a 503
-#: server answered, it just has no job capacity.
+#: server answered, its job queue is just full.
 _SERVER_LOST = (ConnectionError, OSError, http.client.HTTPException)
 
 #: What kills a row-stream consumer: everything in ``_SERVER_LOST`` plus the
@@ -180,15 +179,14 @@ class _Server:
     url: str
     session: RemoteSession
     healthy: bool = True
-    jobs_ok: bool = True  # False after a 503 (or a healthz max_jobs == 0)
     probed: bool = False
     #: Weighted inflight bound from the healthz probe (``None`` until probed:
     #: fall back to the coordinator's ``max_inflight``).
     capacity: int | None = None
     inflight: dict[str, _Shard] = field(default_factory=dict)  # job id -> shard
     completed: int = 0
-    #: serializes this server's *sync* session calls (submit / terminal poll /
-    #: fallback): ``http.client`` holds one socket per session.  Rebound to a
+    #: serializes this server's *sync* session calls (submit / restart
+    #: probe): ``http.client`` holds one socket per session.  Rebound to a
     #: fresh :class:`asyncio.Lock` by every sweep (locks are loop-bound).
     lock: asyncio.Lock | None = field(default=None, repr=False)
 
@@ -270,9 +268,8 @@ class SweepCoordinator:
     poll_interval:
         Seconds an idle worker lane sleeps before re-checking for
         assignable work (a safety-net cadence; the normal path is
-        event-driven via the wake doorbell).
-    fallback_chunk:
-        Requests per ``evaluate_many`` call on the 503 fallback path.
+        event-driven via the wake doorbell), and the back-off a lane waits
+        after its server answers a submit with 503.
     fold_queue:
         Bound of the row queue between the per-job stream consumers and the
         single folder lane (default 256 events).  Under backpressure — a
@@ -305,7 +302,7 @@ class SweepCoordinator:
         timestamp time-to-first-row.
     on_event:
         Optional observer for dispatch-loop events; called with one dict per
-        event (``{"event": "reassigned" | "server_lost" | "fallback" |
+        event (``{"event": "reassigned" | "server_lost" | "busy" |
         "cursor_reset" | "job_vanished" | "job_resumed", ...}``).
         ``repro sweep --verbose`` prints these; exceptions from the hook
         are the caller's problem.
@@ -328,7 +325,6 @@ class SweepCoordinator:
         max_inflight: int = 2,
         max_retries: int = 2,
         poll_interval: float = 0.05,
-        fallback_chunk: int = 64,
         fold_queue: int = 256,
         stream_keepalive: float = 2.0,
         restart_grace: float = 0.0,
@@ -363,7 +359,6 @@ class SweepCoordinator:
         self.max_inflight = max_inflight
         self.max_retries = max_retries
         self.poll_interval = poll_interval
-        self.fallback_chunk = fallback_chunk
         self.fold_queue = fold_queue
         self.stream_keepalive = stream_keepalive
         self.restart_grace = restart_grace
@@ -403,7 +398,7 @@ class SweepCoordinator:
         The returned list is deterministic and identical to
         ``LocalSession(array, ...).sweep(workloads, configs, ...)`` on one
         machine — regardless of how shards landed on servers, which servers
-        died, or which shards rode the 503 fallback.
+        died, or which submits were answered busy.
 
         The signature is synchronous; the dispatch/stream/fold machinery
         runs on a private event loop under :func:`asyncio.run` (so this must
@@ -420,7 +415,7 @@ class SweepCoordinator:
             "items": total_items,
             "servers": len(self.servers),
             "jobs": 0,
-            "fallbacks": 0,
+            "busy": 0,
             "reassigned": 0,
             "servers_lost": 0,
             "rows_streamed": 0,
@@ -433,13 +428,12 @@ class SweepCoordinator:
         # repro-lint: waive[RA007] the token only namespaces job submit_keys for retry dedup; it never reaches a folded row, so folds stay bit-identical regardless of its value
         self._sweep_token = uuid.uuid4().hex  # scopes job submit_keys
         for server in self.servers:
-            # a sweep starts with a clean slate: a server that was full
-            # (503) or unreachable during the *last* sweep may have
-            # recovered — the probe re-checks cheaply, and real deaths are
-            # re-discovered in one connect attempt
+            # a sweep starts with a clean slate: a server that was
+            # unreachable during the *last* sweep may have recovered — the
+            # probe re-checks cheaply, and real deaths are re-discovered in
+            # one connect attempt
             server.inflight.clear()
             server.healthy = True
-            server.jobs_ok = True
             server.probed = False
             server.capacity = None
         for shard in shards:
@@ -459,12 +453,11 @@ class SweepCoordinator:
     ) -> None:
         """One sweep's pipelined run: probe, spawn lanes, fold, settle.
 
-        Structure: ``capacity`` worker-lane tasks per job-capable server
-        (one lane per 503/fallback server) each submit a shard, consume its
-        row stream end to end and repeat; every consumed row is funneled —
-        tagged with its shard's attempt epoch — through the bounded fold
-        queue into the single folder task.  Sync client calls (submit,
-        terminal poll, fallback batches) run on a thread-pool executor,
+        Structure: ``capacity`` worker-lane tasks per server each submit a
+        shard, consume its row stream end to end and repeat; every consumed
+        row is funneled — tagged with its shard's attempt epoch — through
+        the bounded fold queue into the single folder task.  Sync client
+        calls (submit, restart probe) run on a thread-pool executor,
         serialized per server by its lock; the streams themselves are
         native-async and cost no threads.
         """
@@ -494,11 +487,8 @@ class SweepCoordinator:
             workers: list[asyncio.Task] = []
             for server in self._healthy_servers():
                 server.lock = asyncio.Lock()
-                lanes = self._inflight_limit(server) if server.jobs_ok else 1
-                for lane in range(lanes):
-                    workers.append(
-                        asyncio.create_task(self._worker(server, lane, state))
-                    )
+                for _ in range(self._inflight_limit(server)):
+                    workers.append(asyncio.create_task(self._worker(server, state)))
             state.live_workers = len(workers)
             await state.done.wait()
             for task in workers:
@@ -517,21 +507,15 @@ class SweepCoordinator:
         assert self._executor is not None
         return await asyncio.get_running_loop().run_in_executor(self._executor, fn)
 
-    async def _worker(self, server: _Server, lane: int, state: _SweepState) -> None:
+    async def _worker(self, server: _Server, state: _SweepState) -> None:
         """One dispatch lane: pull an assignable shard, run it, repeat.
 
-        Lanes exit when the sweep settles, their server dies, or — for all
-        but lane 0 — when the server turns out to have no job capacity (the
-        sync ``evaluate_many`` fallback runs one shard at a time per server,
-        so spare lanes returning keeps those shards available to the rest of
-        the fleet).  The last lane out with work remaining declares the
-        fleet dead.
+        Lanes exit when the sweep settles or their server dies.  The last
+        lane out with work remaining declares the fleet dead.
         """
         try:
             while not state.done.is_set():
                 if not server.healthy:
-                    return
-                if not server.jobs_ok and lane > 0:
                     return
                 shard = self._take_assignable(state.pending, server)
                 if shard is None:
@@ -582,55 +566,47 @@ class SweepCoordinator:
     async def _run_shard(
         self, server: _Server, shard: _Shard, state: _SweepState
     ) -> None:
-        """Submit one shard as a job and consume it, or ride the fallback."""
+        """Submit one shard as a job and consume it; back off on a 503."""
         epoch = shard.attempts
-        if server.jobs_ok:
-            submit = functools.partial(
-                server.session.submit_job,
-                # one {"workload", "extents"} payload per item: items keep
-                # their own problem sizes inside a grouped shard
-                [dict(item.payload) for item in shard.items],
-                configs=[shard.config],
-                stream_rows=True,
-                # unique per (sweep, shard, attempt): a transport retry of
-                # this submit can never double-enqueue, while a real
-                # reassignment gets a fresh job
-                submit_key=(
-                    f"{self._sweep_token}:{shard.items[0].index}:{shard.attempts}"
-                ),
-                **state.options,
-            )
-            try:
-                assert server.lock is not None
-                async with server.lock:
-                    job = await self._blocking(submit)
-            except ServiceBusyError:
-                # alive but out of job capacity: remember, fall through
-                # (_fallback emits the observer event)
-                server.jobs_ok = False
-            except _SERVER_LOST:
-                self._lose_server(server, shard, state)
-                return
-            else:
-                server.inflight[job["id"]] = shard
-                self.last_report["jobs"] += 1
-                await self._consume_job(server, shard, job["id"], epoch, state)
-                return
         try:
-            assert server.lock is not None
-            async with server.lock:
-                await self._blocking(
-                    functools.partial(
-                        self._fallback, server, shard, state.results, state.options
-                    )
-                )
+            job_id = await self._submit(server, shard, state)
+        except ServiceBusyError:
+            # alive but its queue is full: back-pressure, not failure — the
+            # shard keeps its place at the head of the queue without
+            # spending an attempt or excluding the server, and this lane
+            # waits before pulling work again
+            state.pending.appendleft(shard)
+            self.last_report["busy"] += 1
+            self._emit("busy", server=server.url, shard=shard.describe())
+            state.wake.set()
+            await asyncio.sleep(self.poll_interval)
+            return
         except _SERVER_LOST:
             self._lose_server(server, shard, state)
             return
-        server.completed += 1
-        self.last_report["fallbacks"] += 1
-        shard.done = True
-        state.complete_shard()
+        server.inflight[job_id] = shard
+        await self._consume_job(server, shard, job_id, epoch, state)
+
+    async def _submit(self, server: _Server, shard: _Shard, state: _SweepState) -> str:
+        """Submit ``shard`` to ``server`` as one row-streaming job; its id."""
+        submit = functools.partial(
+            server.session.submit_job,
+            # one {"workload", "extents"} payload per item: items keep
+            # their own problem sizes inside a grouped shard
+            [dict(item.payload) for item in shard.items],
+            configs=[shard.config],
+            stream_rows=True,
+            # unique per (sweep, shard, attempt): a transport retry of
+            # this submit can never double-enqueue, while a real
+            # reassignment gets a fresh job
+            submit_key=f"{self._sweep_token}:{shard.items[0].index}:{shard.attempts}",
+            **state.options,
+        )
+        assert server.lock is not None
+        async with server.lock:
+            job = await self._blocking(submit)
+        self.last_report["jobs"] += 1
+        return job["id"]
 
     async def _consume_job(
         self,
@@ -648,8 +624,8 @@ class SweepCoordinator:
         Rows are queued under this attempt's epoch so a forfeited attempt's
         leftovers can never fold; the ``end`` frame carries the terminal
         snapshot (per-item stats), which rides the queue behind every row
-        it must follow — a poll round-trip happens only as the fallback
-        for streams that end without one.
+        it must follow.  A ``done`` end frame without the snapshot is a
+        server bug and raises.
 
         With ``restart_grace`` set, a dead stream is not an immediate
         forfeit: the server is probed until the grace deadline, and a job
@@ -681,25 +657,17 @@ class SweepCoordinator:
             try:
                 async for frame in stream:
                     kind = frame.get("row")
-                    if kind == "start":
-                        if frame.get("cursor_reset"):
-                            cursor = 0
-                            await self._enqueue(
-                                state, ("reset", shard, epoch, server.url)
-                            )
-                        continue
-                    if kind == "reset":
+                    if kind == "reset" or (kind == "start" and frame.get("cursor_reset")):
                         cursor = 0
                         await self._enqueue(state, ("reset", shard, epoch, server.url))
                         continue
-                    if kind == "keepalive":
+                    if kind in ("start", "keepalive"):
                         continue
                     if kind == "end":
                         status = frame.get("status")
                         error = frame.get("error")
-                        # the server sends the terminal snapshot on the end
-                        # frame (records + stats, no rows) — stream consumers
-                        # close the shard without a follow-up poll round-trip
+                        # the terminal snapshot (records + stats, no rows)
+                        # rides the end frame and closes the shard
                         snapshot = frame.get("job")
                         break
                     if "seq" in frame:
@@ -755,28 +723,18 @@ class SweepCoordinator:
             break  # the stream finished (end frame, or ran dry)
         server.inflight.pop(job_id, None)
         if status == "done":
-            if snapshot is None or "results" not in snapshot:
-                # end frame without the embedded snapshot (an injected test
-                # stream, or an older server): fall back to a terminal poll
-                poll = functools.partial(server.session.poll_job, job_id, since=cursor)
-                try:
-                    assert server.lock is not None
-                    async with server.lock:
-                        snapshot = await self._blocking(poll)
-                except _SERVER_LOST:
-                    self._lose_server(server, shard, state)
-                    return
-                except LookupError:
-                    self._vanish(server, shard, job_id, state)
-                    return
+            if not snapshot or "results" not in snapshot:
+                # every /rows end frame embeds the terminal snapshot
+                raise RuntimeError(
+                    f"server {server.url} ended job {job_id} as done without "
+                    "its terminal snapshot"
+                )
             server.completed += 1
             # the zero-repeats meter: journaled rows the server adopted
             # instead of re-evaluating (snapshot["replayed_rows"] is only
             # present on a journal-resumed job)
-            self.last_report["rows_replayed"] += int(
-                (snapshot or {}).get("replayed_rows") or 0
-            )
-            await self._enqueue(state, ("finish", shard, epoch, (server.url, snapshot)))
+            self.last_report["rows_replayed"] += int(snapshot.get("replayed_rows") or 0)
+            await self._enqueue(state, ("finish", shard, epoch, snapshot))
         elif status in ("failed", "cancelled"):
             shard.reset_fold()
             # prefer a different server for the retry (the failure may be
@@ -858,26 +816,12 @@ class SweepCoordinator:
         job id, or ``None`` when the server cannot take the job (busy or
         gone again), letting the caller fall back to the legacy forfeit.
         """
-        submit = functools.partial(
-            server.session.submit_job,
-            [dict(item.payload) for item in shard.items],
-            configs=[shard.config],
-            stream_rows=True,
-            submit_key=(
-                f"{self._sweep_token}:{shard.items[0].index}:{shard.attempts}"
-            ),
-            **state.options,
-        )
         try:
-            assert server.lock is not None
-            async with server.lock:
-                job = await self._blocking(submit)
+            return await self._submit(server, shard, state)
         except ServiceBusyError:
             return None
         except _SERVER_LOST:
             return None
-        self.last_report["jobs"] += 1
-        return job["id"]
 
     async def _folder(self, state: _SweepState) -> None:
         """The single fold lane.
@@ -908,9 +852,7 @@ class SweepCoordinator:
                     shard.reset_fold()
                     self._emit("cursor_reset", server=payload, shard=shard.describe())
                 else:  # "finish": the terminal snapshot closes the books
-                    server_url, snapshot = payload
-                    self._fold_rows(server_url, shard, snapshot)
-                    self._finish_shard(shard, snapshot, state.results)
+                    self._finish_shard(shard, payload, state.results)
                     shard.done = True
                     state.complete_shard()
         except asyncio.CancelledError:
@@ -965,12 +907,11 @@ class SweepCoordinator:
     def _probe(self, server: _Server) -> None:
         """One-time capability check per sweep.
 
-        A ``--max-jobs 0`` server skips the job path up front instead of
-        eating a probe 503 per shard; a server advertising a process pool
-        (healthz ``workers``) gets a *weighted* inflight bound — up to
-        ``workers`` jobs in flight, clamped by its ``max_jobs`` queue depth —
-        so per-server load follows advertised capacity instead of blind
-        round-robin."""
+        A server advertising a process pool (healthz ``workers``) gets a
+        *weighted* inflight bound — up to ``workers`` jobs in flight,
+        clamped by its ``max_jobs`` queue depth, so the coordinator's own
+        lanes never fill a queue — and per-server load follows advertised
+        capacity instead of blind round-robin."""
         if server.probed:
             return
         server.probed = True
@@ -980,8 +921,6 @@ class SweepCoordinator:
             self._lose_server(server)
             return
         max_jobs = info.get("max_jobs")
-        if max_jobs == 0:
-            server.jobs_ok = False
         capacity = self.max_inflight
         workers = info.get("workers")
         if isinstance(workers, int) and workers > capacity:
@@ -1003,32 +942,6 @@ class SweepCoordinator:
                 return shard
             pending.append(shard)
         return None
-
-    def _fold_rows(
-        self, server_url: str, shard: _Shard, snapshot: Mapping[str, Any]
-    ) -> bool:
-        """Fold a snapshot's row page into the shard's items (folder lane).
-
-        On the pipelined path, rows travel the stream and the terminal
-        snapshot rides the end frame with no row page at all — so this
-        normally folds nothing.  It exists for the fallback terminal poll
-        (``since=<last folded seq>``): a job re-run between the stream's
-        end and that poll answers ``cursor_reset`` with the full row list,
-        and this rebuild keeps the fold exact.
-        """
-        if snapshot.get("cursor_reset"):
-            # the job behind this id was re-run (or the log restarted):
-            # whatever was folded so far may not prefix the new log — drop
-            # it and rebuild from the full row list this snapshot carries
-            shard.reset_fold()
-            self._emit("cursor_reset", server=server_url, shard=shard.describe())
-        rows = snapshot.get("rows") or ()
-        for row in rows:
-            item = shard.items[int(row["item"])]
-            item.fold(wire.row_to_point(row, item.statement))
-        shard.cursor = int(snapshot.get("rows_total", shard.cursor + len(rows)))
-        self.last_report["rows_streamed"] += len(rows)
-        return bool(rows)
 
     def _finish_shard(
         self,
@@ -1063,7 +976,7 @@ class SweepCoordinator:
 
         Only the *caller's* shard is requeued: every other shard inflight on
         the dead server has its own consumer task, which observes the death
-        itself (stream reset, failed terminal poll, or the idle timeout) —
+        itself (stream reset or the idle timeout) —
         per-consumer requeue is what makes a shard impossible to requeue
         twice.  The fold/attempt bookkeeping here runs without an await
         point, so the folder can never interleave with a half-forfeited
@@ -1123,117 +1036,6 @@ class SweepCoordinator:
         # repro-lint: waive[RA004] every caller that passes a state runs on the loop; the probe thread reaches _lose_server with state=None only, so this set() never executes off-loop
         state.wake.set()
 
-    # -- the 503 fallback -------------------------------------------------
-    def _fallback(
-        self,
-        server: _Server,
-        shard: _Shard,
-        results: list[EvaluationResult | None],
-        options: Mapping[str, Any],
-    ) -> None:
-        """Run one shard through chunked ``evaluate_many`` instead of a job."""
-        self._emit("fallback", server=server.url, shard=shard.describe())
-        for item in shard.items:
-            results[item.index] = self._fallback_item(
-                server, shard.config, item, options
-            )
-
-    def _fallback_item(
-        self,
-        server: _Server,
-        config: ArrayConfig,
-        item: _ShardItem,
-        options: Mapping[str, Any],
-    ) -> EvaluationResult:
-        """Run one sweep item through chunked ``evaluate_many``.
-
-        The design space is enumerated coordinator-side (models never run
-        here), memo-probed against the coordinator's own fold cache, and the
-        misses ship as explicit ``selection``+``stt`` perf/cost request
-        pairs.  Pairing reproduces the engine's short-circuit semantics — a
-        perf rejection is a ``"perf"``-stage failure whatever the cost model
-        said — so the folded result is point-for-point identical to the job
-        path and to a local ``sweep()``.  Outcomes land in the fold cache's
-        engine sections (``spaces``/``points``), exactly like a local run's
-        would, so fallback shards warm future sweeps too.
-        """
-        engine = EvaluationEngine(
-            config,
-            width=self.width,
-            cost_params=self.cost_params,
-            sram_words=self.sram_words,
-            cache=self.cache,
-            autoflush=False,  # _fold_caches flushes once at the end
-        )
-        stats = EvaluationStats()
-        statement = item.statement
-        # (spec, memo-hit outcome or None, cache put-key or None), in order
-        probed: list[tuple] = []
-        for spec in engine.iter_space(statement, stats=stats, **options):
-            outcome, key = engine._lookup(statement, spec, stats)
-            probed.append((spec, outcome, key))
-
-        requests: list[DesignRequest] = []
-        for spec, outcome, _key in probed:
-            if outcome is not None:
-                continue
-            base = dict(
-                workload=item.payload["workload"],
-                extents=item.payload["extents"],
-                selection=list(spec.selected),
-                stt=[list(row) for row in spec.stt.matrix],
-                array=config,
-                width=self.width,
-                cost=self.cost_params,
-                sram_words=self.sram_words,
-            )
-            requests.append(DesignRequest(backend="perf", **base))
-            requests.append(DesignRequest(backend="cost", **base))
-
-        answers: list[EvalResult] = []
-        for start in range(0, len(requests), self.fallback_chunk):
-            answers.extend(
-                server.session.evaluate_many(
-                    requests[start : start + self.fallback_chunk]
-                )
-            )
-
-        points: list[DesignPoint] = []
-        failures: list[DesignPoint] = []
-        pairs = zip(answers[0::2], answers[1::2])
-        for spec, outcome, key in probed:
-            if outcome is None:
-                perf, cost = next(pairs)
-                rejected = perf if not perf.ok else (cost if not cost.ok else None)
-                if rejected is not None:
-                    outcome = (
-                        "fail",
-                        rejected.failure_stage or "perf",
-                        rejected.failure_reason or "rejected",
-                    )
-                else:
-                    outcome = (
-                        "ok",
-                        perf["normalized_perf"],
-                        perf["cycles"],
-                        cost["area_mm2"],
-                        cost["power_mw"],
-                    )
-                stats.evaluated += 1
-                if key is not None:
-                    engine.cache.put("points", key, list(outcome))
-            point = engine._point_from_outcome(spec, outcome)
-            point.seq = len(points) + len(failures) + 1  # emission order
-            (points if point.ok else failures).append(point)
-        stats.skipped = len(failures)
-        return EvaluationResult(
-            workload=statement.name,
-            array=config,
-            points=points,
-            failures=failures,
-            stats=stats,
-        )
-
     # -- cache folding ----------------------------------------------------
     def _fold_caches(self) -> None:
         """Pull each surviving server's memo cache into the local one."""
@@ -1270,7 +1072,7 @@ class CoordinatedSession(SessionBase):
 
     - :meth:`sweep` fans out through the :class:`SweepCoordinator`
       (capacity-weighted job sharding with ``shard_size`` item grouping,
-      incremental row streaming, reassignment, 503 fallback, cache
+      incremental row streaming, reassignment, 503 back-off, cache
       fold-in — see the coordinator's docs and ``docs/deployment.md``);
     - :meth:`evaluate` / :meth:`evaluate_names` / :meth:`explore` ride one
       healthy server, failing over to the next when it dies;
@@ -1332,7 +1134,7 @@ class CoordinatedSession(SessionBase):
         reqs = self._coerce_requests(requests)
         if not reqs:
             return []
-        chunk = max(1, self.coordinator.fallback_chunk)
+        chunk = _EVALUATE_MANY_CHUNK
         results: list[EvalResult | None] = [None] * len(reqs)
         for i, start in enumerate(range(0, len(reqs), chunk)):
             batch = reqs[start : start + chunk]

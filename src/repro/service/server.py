@@ -21,8 +21,8 @@ Endpoints (all under ``/v1``; the full request/response reference lives in
                                then ``stats``
 ``POST /v1/evaluate_names``    paper dataflow names -> per-name perf results
 ``POST /v1/jobs``              submit a sweep job to the bounded queue
-                               (503 full); ``stream_rows``/``include_rows``
-                               opt into the per-design row log
+                               (503 full); ``stream_rows`` opts into the
+                               per-design row log
 ``GET  /v1/jobs``              list jobs
 ``GET  /v1/jobs/<id>``         poll one job; ``?since=<seq>`` additionally
                                returns only the rows produced after that
@@ -94,8 +94,8 @@ class Job:
     through :meth:`snapshot` at every point of its life cycle
     (``queued -> running -> done | failed | cancelled``).
 
-    When the submit payload asked for rows (``stream_rows`` or
-    ``include_rows``), every evaluated design is appended to :attr:`rows` as a
+    When the submit payload asked for rows (``stream_rows``), every
+    evaluated design is appended to :attr:`rows` as a
     ``/v1/explore``-format wire row *while the job runs*, extended with two
     keys: ``seq`` — the 1-based, job-global, strictly increasing row cursor —
     and ``item`` — the 0-based index of the (config, workload) item (in
@@ -118,7 +118,7 @@ class Job:
     #: The incremental per-design row log (see class docstring); populated
     #: only when :attr:`keep_rows` is set at submit time.
     rows: list[dict[str, Any]] = field(default_factory=list)
-    #: Whether this job records :attr:`rows` (``stream_rows``/``include_rows``).
+    #: Whether this job records :attr:`rows` (``stream_rows``).
     keep_rows: bool = False
     #: True for a job rebuilt from a journal that had no terminal entry: it
     #: was queued or running when the server died and re-enters the queue.
@@ -168,8 +168,8 @@ class Job:
         if since is not None:
             if not self.keep_rows:
                 raise ValueError(
-                    f"job {self.id!r} was not submitted with stream_rows/"
-                    "include_rows; it keeps no row log to page with ?since="
+                    f"job {self.id!r} was not submitted with stream_rows; "
+                    "it keeps no row log to page with ?since="
                 )
             total = len(self.rows)  # snapshot the length: rows only grows
             cursor = max(0, since)
@@ -304,6 +304,10 @@ class EvaluationService:
         max_body_bytes: int | None = None,
         journal_dir: str | os.PathLike | None = None,
     ):
+        if max_queued_jobs < 1:
+            # asyncio.Queue(maxsize<=0) is unbounded: refuse rather than
+            # silently serve without a job-queue bound
+            raise ValueError(f"max_queued_jobs must be >= 1, got {max_queued_jobs}")
         self.session = session
         self.max_queued_jobs = max_queued_jobs
         self.max_kept_jobs = max_kept_jobs
@@ -597,9 +601,9 @@ class EvaluationService:
                     "backends": list(available_backends()),
                     "workloads": sorted(TABLE_II),
                     "array": wire.array_to_dict(self.session.array),
-                    # 0 = the job queue is disabled; coordinators use this to
-                    # pick the evaluate_many fallback without a probe 503
-                    "max_jobs": max(0, self.max_queued_jobs),
+                    # the job-queue bound: coordinators clamp their
+                    # per-server lanes by it, so they never fill the queue
+                    "max_jobs": self.max_queued_jobs,
                     # the session's process-pool size: capacity-aware sweep
                     # coordinators weight per-server inflight by this
                     "workers": max(0, getattr(self.session, "workers", 0)),
@@ -764,9 +768,8 @@ class EvaluationService:
     def _submit_job(self, payload: Mapping[str, Any], writer) -> None:
         items = wire.job_items(payload)  # validates the workloads list shape
         _engine_options(payload)  # validate option names up front
-        for flag in ("include_rows", "stream_rows"):
-            if not isinstance(payload.get(flag, False), bool):
-                raise ValueError(f'"{flag}" must be a boolean')
+        if not isinstance(payload.get("stream_rows", False), bool):
+            raise ValueError('"stream_rows" must be a boolean')
         submit_key = payload.get("submit_key")
         if submit_key is not None and not isinstance(submit_key, str):
             raise ValueError('"submit_key" must be a string')
@@ -791,26 +794,12 @@ class EvaluationService:
                 f"(workload x config) items; jobs are capped at "
                 f"{wire.MAX_JOB_ITEMS}"
             )
-        if self.max_queued_jobs <= 0:
-            # a server run with --max-jobs 0 has no job capacity at all;
-            # the same 503 contract as a full queue, reported up front
-            self._json_response(
-                writer,
-                503,
-                {
-                    "error": "job queue disabled on this server (--max-jobs 0)",
-                    "error_type": "RuntimeError",
-                },
-            )
-            return
         assert self._job_queue is not None, "service not started"
         job = Job(
             id=f"job-{next(self._job_ids)}",
             payload=dict(payload),
             total_items=len(items) * max(1, len(configs)),
-            keep_rows=bool(
-                payload.get("include_rows") or payload.get("stream_rows")
-            ),
+            keep_rows=bool(payload.get("stream_rows")),
         )
         try:
             self._job_queue.put_nowait(job)
@@ -917,7 +906,7 @@ class EvaluationService:
             return
         if not job.keep_rows:
             raise ValueError(
-                f"job {job_id!r} was not submitted with stream_rows/include_rows; "
+                f"job {job_id!r} was not submitted with stream_rows; "
                 "there is no row log to stream"
             )
         cursor = max(0, self._since_param(params) or 0)
@@ -1124,17 +1113,13 @@ class EvaluationService:
         design, so a DELETE that lands during the final item still reports
         ``cancelled`` — and a cancelled job keeps the per-item records it
         finished (an aborted item's partial rows stay in the log; its record
-        is never appended).  With ``include_rows`` each finished record also
-        embeds its rows (points first, then failures, both in enumeration
-        order) — the pre-cursor fold-in contract, kept for clients that want
-        one self-contained terminal snapshot.
+        is never appended).
         """
         payload = job.payload
         configs = [wire.array_from_dict(c) for c in payload.get("configs") or []] or [
             None
         ]
         options = _engine_options(payload)
-        include_rows = bool(payload.get("include_rows", False))
         items = wire.job_items(payload)
         # journal resume state: a job rebuilt from a crashed run skips every
         # item whose record survived, and adopts the in-flight item's
@@ -1220,10 +1205,6 @@ class EvaluationService:
                     "best": [wire.point_to_row(p) for p in result.best(5)],
                     "pareto": [p.name for p in result.pareto()],
                 }
-                if include_rows:
-                    record["rows"] = [
-                        wire.point_to_row(p) for p in result.points
-                    ] + [wire.point_to_row(p) for p in result.failures]
                 job.results.append(record)
                 self._journal_append(job, "record", record)
         return not job.cancel_requested

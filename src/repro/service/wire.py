@@ -80,11 +80,11 @@ SCHEMA_HEADER = "X-Repro-Schema"
 
 
 class ServiceBusyError(RuntimeError):
-    """HTTP 503 from the service: a full (or disabled) job queue.
+    """HTTP 503 from the service: a full job queue.
 
     Distinct from a transport failure — the server is alive and answered —
-    so callers (the sweep coordinator in particular) can react by falling
-    back to ``evaluate_many`` instead of writing the server off as dead.
+    so callers (the sweep coordinator in particular) can back off and
+    resubmit instead of writing the server off as dead.
     """
 
 

@@ -1,10 +1,12 @@
-"""The sweep coordinator: sharding, failure reassignment, 503 fallback, folds.
+"""The sweep coordinator: sharding, failure reassignment, 503 back-off, folds.
 
 Every equality assertion here is against a plain ``LocalSession.sweep()`` on
 the same grid — the coordinator's contract is that distribution is invisible
 in the results: same order, same metrics, same structured failures, however
 the shards landed and whichever servers died along the way.
 """
+
+import re
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.perf.model import ArrayConfig
 from repro.service import (
     CoordinatedSession,
     RemoteSession,
+    ServiceBusyError,
     ServiceThread,
     SweepCoordinator,
 )
@@ -176,33 +179,6 @@ class TestFailureModes:
         coordinator.close()
 
 
-class TestFallback:
-    def test_full_queue_falls_back_to_evaluate_many(self, local_results):
-        """max_queued_jobs=0 means every submit would 503: the shard ships as
-        chunked evaluate_many batches and still folds identically."""
-        with ServiceThread(LocalSession(ARRAY), max_queued_jobs=0) as thread:
-            session = CoordinatedSession([thread.url], array=ARRAY)
-            results = session.sweep(WORKLOADS, **SWEEP_KW)
-            assert names_and_metrics(results) == names_and_metrics(local_results)
-            assert failure_rows(results) == failure_rows(local_results)
-            report = session.coordinator.last_report
-            assert report["fallbacks"] == 2 and report["jobs"] == 0
-            session.close()
-
-    def test_mixed_fleet_job_plus_fallback(self, local_results):
-        """One server with jobs, one without: both carry shards, one fold."""
-        with ServiceThread(LocalSession(ARRAY)) as jobs_ok:
-            with ServiceThread(LocalSession(ARRAY), max_queued_jobs=0) as no_jobs:
-                session = CoordinatedSession(
-                    [no_jobs.url, jobs_ok.url], array=ARRAY, max_inflight=1
-                )
-                results = session.sweep(WORKLOADS, **SWEEP_KW)
-                assert names_and_metrics(results) == names_and_metrics(local_results)
-                report = session.coordinator.last_report
-                assert report["fallbacks"] >= 1
-                session.close()
-
-
 class TestCacheFold:
     def test_remote_caches_fold_into_local(self, tmp_path, local_results):
         cache_path = tmp_path / "fold.json"
@@ -221,29 +197,87 @@ class TestCacheFold:
         assert names_and_metrics(warm) == names_and_metrics(local_results)
 
 
-class TestFallbackCache:
-    def test_fallback_shards_warm_the_fold_cache(self, tmp_path, local_results):
-        """The evaluate_many fallback writes the engine cache sections
-        (spaces/points) into the fold cache, so even a job-less fleet leaves
-        a cache that warms a LocalSession to zero evaluations — and a warm
-        rerun ships no requests at all."""
-        cache_path = tmp_path / "fold.json"
-        with ServiceThread(LocalSession(ARRAY), max_queued_jobs=0) as thread:
-            cold = CoordinatedSession([thread.url], array=ARRAY, cache=cache_path)
-            cold_results = cold.sweep(WORKLOADS, **SWEEP_KW)
-            assert cold.coordinator.last_report["fallbacks"] == 2
-            cold.close()
+def busy_sessions(busy):
+    """``url -> RemoteSession`` whose submits answer 503 while ``busy(url)``."""
 
-            warm = CoordinatedSession([thread.url], array=ARRAY, cache=cache_path)
-            warm_results = warm.sweep(WORKLOADS, **SWEEP_KW)
-            warm.close()
-        assert names_and_metrics(cold_results) == names_and_metrics(local_results)
-        assert names_and_metrics(warm_results) == names_and_metrics(local_results)
-        assert all(r.stats.evaluated == 0 for r in warm_results)
-        assert all(r.stats.space_cache_hit for r in warm_results)
-        # and the same file warms a plain in-process session
-        local_warm = LocalSession(ARRAY, cache=cache_path).sweep(WORKLOADS, **SWEEP_KW)
-        assert all(r.stats.evaluated == 0 for r in local_warm)
+    class BusySession(RemoteSession):
+        def submit_job(self, *args, **kwargs):
+            if busy(self.url):
+                raise ServiceBusyError("job queue full")
+            return super().submit_job(*args, **kwargs)
+
+    return lambda url: BusySession(url, array=ARRAY)
+
+
+class TestBackOff:
+    """A 503 on submit is back-pressure: the shard waits at the head of the
+    queue, spending no retry and excluding no server."""
+
+    def test_busy_submits_back_off_without_spending_retries(self, fleet, local_results):
+        a, _ = fleet
+        full = iter(range(3))  # the first three submits find the queue full
+        events = []
+        coordinator = SweepCoordinator(
+            [a.url],
+            array=ARRAY,
+            max_retries=0,
+            on_event=events.append,
+            session_factory=busy_sessions(lambda url: next(full, None) is not None),
+        )
+        results = coordinator.sweep(WORKLOADS, **SWEEP_KW)
+        assert names_and_metrics(results) == names_and_metrics(local_results)
+        assert failure_rows(results) == failure_rows(local_results)
+        report = coordinator.last_report
+        assert report["busy"] == 3 and report["reassigned"] == 0
+        assert report["jobs"] == report["shards"]
+        assert [e["server"] for e in events if e["event"] == "busy"] == [a.url] * 3
+        coordinator.close()
+
+    @pytest.mark.parametrize("shard_size", [1, 2])
+    def test_always_busy_server_leaves_every_shard_to_the_other(self, fleet, shard_size):
+        a, b = fleet
+        configs = [ARRAY, SMALL_ARRAY]
+        local = LocalSession(ARRAY).sweep(WORKLOADS, configs=configs, **SWEEP_KW)
+        coordinator = SweepCoordinator(
+            [a.url, b.url],
+            array=ARRAY,
+            shard_size=shard_size,
+            max_retries=0,
+            session_factory=busy_sessions(lambda url: url == a.url),
+        )
+        results = coordinator.sweep(WORKLOADS, configs=configs, **SWEEP_KW)
+        assert names_and_metrics(results) == names_and_metrics(local)
+        assert failure_rows(results) == failure_rows(local)
+        report = coordinator.last_report
+        assert report["busy"] >= 1 and report["reassigned"] == 0
+        assert report["jobs"] == report["shards"]
+        assert [s.completed for s in coordinator.servers] == [0, report["shards"]]
+        coordinator.close()
+
+    def test_done_end_frame_without_snapshot_raises(self, fleet):
+        """Every /rows end frame embeds the terminal snapshot: a done frame
+        without one is a server bug, so the sweep raises."""
+        a, _ = fleet
+
+        class SnapshotlessEnd(RemoteSession):
+            def job_rows_async(self, job_id, **kwargs):
+                inner = super().job_rows_async(job_id, **kwargs)
+
+                async def stripped():
+                    async for frame in inner:
+                        frame.pop("job", None)
+                        yield frame
+
+                return stripped()
+
+        coordinator = SweepCoordinator(
+            [a.url],
+            array=ARRAY,
+            session_factory=lambda url: SnapshotlessEnd(url, array=ARRAY),
+        )
+        with pytest.raises(RuntimeError, match=rf"{re.escape(a.url)} ended job job-\d+"):
+            coordinator.sweep(WORKLOADS, **SWEEP_KW)
+        coordinator.close()
 
 
 class TestIncrementalStreaming:
@@ -552,18 +586,6 @@ class TestWeightedSharding:
         assert probe_with({}, max_inflight=3) == 3
         # the baseline is a floor, never lowered by a small pool
         assert probe_with({"workers": 1}, max_inflight=3) == 3
-
-    def test_fallback_with_grouped_shards_matches_local(self, local_results):
-        """shard_size > 1 on a job-less (--max-jobs 0) server: every item in
-        the group rides evaluate_many and still folds identically."""
-        with ServiceThread(LocalSession(ARRAY), max_queued_jobs=0) as thread:
-            session = CoordinatedSession([thread.url], array=ARRAY, shard_size=2)
-            results = session.sweep(WORKLOADS, **SWEEP_KW)
-            assert names_and_metrics(results) == names_and_metrics(local_results)
-            report = session.coordinator.last_report
-            assert report["jobs"] == 0 and report["fallbacks"] == 1
-            assert report["items"] == 2
-            session.close()
 
 
 class TestSessionSurface:

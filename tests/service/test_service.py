@@ -15,7 +15,7 @@ import pytest
 from repro.api import SCHEMA_VERSION, LocalSession
 from repro.api.types import SchemaVersionError
 from repro.perf.model import ArrayConfig
-from repro.service import RemoteSession, ServiceThread
+from repro.service import EvaluationService, RemoteSession, ServiceThread
 
 SMALL = {"m": 4, "n": 4, "k": 4}
 SMALL_ARRAY = ArrayConfig(rows=2, cols=2)
@@ -233,32 +233,8 @@ class TestJobs:
         assert row["workload"] == "batched_gemv"
         assert row["points"] > 0
         assert row["best"] and row["pareto"]
-        assert "rows" not in row  # full rows only on request (include_rows)
+        assert "rows" not in row  # rows travel the row log, never the record
         assert any(j["id"] == job["id"] for j in remote.jobs())
-
-    def test_include_rows_round_trip(self, remote):
-        """include_rows keeps every design as a wire row the client can
-        rebuild into the exact local EvaluationResult (the coordinator's
-        fold-in source)."""
-        from repro.ir import workloads as workload_lib
-        from repro.service import wire
-
-        extents = {"m": 8, "n": 8, "k": 8}
-        job = remote.submit_job(
-            ["batched_gemv"], one_d_only=True, extents=extents, include_rows=True
-        )
-        job = _wait_terminal(remote, job["id"])
-        assert job["status"] == "done", job
-        (record,) = job["results"]
-        assert len(record["rows"]) == record["points"] + record["failures"]
-        statement = workload_lib.by_name("batched_gemv", **extents)
-        points = [wire.row_to_point(row, statement) for row in record["rows"]]
-        local = LocalSession(ArrayConfig(rows=8, cols=8)).explore(
-            "batched_gemv", extents=extents, one_d_only=True
-        )
-        assert [p.metrics() for p in points if p.ok] == [
-            p.metrics() for p in local.points
-        ]
 
     def test_unknown_job_404(self, remote):
         with pytest.raises(LookupError, match="no such job"):
@@ -275,6 +251,7 @@ class TestJobs:
         session = LocalSession(ArrayConfig(rows=8, cols=8), cache=tmp_path / "m.json")
         with ServiceThread(session, max_queued_jobs=2) as thread:
             remote = RemoteSession(thread.url)
+            assert remote._call("GET", "/v1/healthz")["max_jobs"] == 2
             # a job that runs long enough to hold the runner busy
             long_job = remote.submit_job(
                 ["gemm"], extents={"m": 64, "n": 64, "k": 64}
@@ -385,18 +362,11 @@ class TestJobs:
         with pytest.raises(ValueError, match="workloads"):
             remote._call("POST", "/v1/jobs", {"workloads": [42]})
 
-    def test_jobs_disabled_is_503(self, tmp_path):
-        """--max-jobs 0 disables the queue: submit answers 503 up front and
-        healthz advertises max_jobs=0 so coordinators skip the probe."""
-        from repro.service.wire import ServiceBusyError
-
-        session = LocalSession(ArrayConfig(rows=8, cols=8))
-        with ServiceThread(session, max_queued_jobs=0) as thread:
-            remote = RemoteSession(thread.url)
-            info = remote._call("GET", "/v1/healthz")
-            assert info["max_jobs"] == 0
-            with pytest.raises(ServiceBusyError, match="disabled"):
-                remote.submit_job(["batched_gemv"], one_d_only=True)
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_job_queue_bound_below_one_is_refused(self, bound):
+        """asyncio.Queue(maxsize<=0) is unbounded: refuse, never serve that."""
+        with pytest.raises(ValueError, match="max_queued_jobs must be >= 1"):
+            EvaluationService(LocalSession(), max_queued_jobs=bound)
 
 
 class TestJobRowStreaming:

@@ -87,6 +87,13 @@ def test_unknown_workload_rejected():
         main(["generate", "nope", "MNK-SST"])
 
 
+def test_serve_refuses_max_jobs_zero(capsys):
+    """--max-jobs 0 would mean an unbounded queue: one error line, no serve."""
+    assert main(["serve", "--port", "0", "--max-jobs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: max_queued_jobs")
+
+
 def _shard(path, *, backend):
     """Populate one memo-cache shard via the verify/evaluate front door."""
     from repro.api import LocalSession
