@@ -2,8 +2,9 @@
 
 The TensorLib pipeline exposes four evaluation backends that historically had
 four incompatible call conventions (``CostModel.evaluate``,
-``PerfModel.evaluate``/``evaluate_named``, ``FPGAModel.evaluate``,
-``sim.harness.run_functional``).  This package is the coherent front door:
+``PerfModel.evaluate`` and its since-removed ``evaluate_named`` twin,
+``FPGAModel.evaluate``, ``sim.harness.run_functional``).  This package is
+the coherent front door:
 
 - :class:`~repro.api.types.DesignRequest` / :class:`~repro.api.types.EvalResult`
   — typed, versioned, JSON round-trippable descriptions of one evaluation;

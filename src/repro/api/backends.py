@@ -8,7 +8,8 @@ Before the API redesign every consumer glued the backends together by hand::
     sim.harness.run_functional(spec, rows, cols, ...)      # sim
 
 Each adapter here folds one of those into the single
-``evaluate(DesignRequest) -> EvalResult`` signature.  Adapters are stateless:
+``evaluate(DesignRequest) -> EvalResult`` signature (the second perf door,
+``evaluate_named``, has since been removed).  Adapters are stateless:
 models are built per request from the request's own array/width/cost fields
 (construction is trivially cheap next to evaluation, and the Session-level
 memo cache absorbs repeats), so one registry instance serves any mix of

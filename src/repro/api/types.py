@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -28,9 +29,11 @@ from repro.perf.model import ArrayConfig
 
 __all__ = [
     "SCHEMA_VERSION",
+    "MAX_ARRAY_DIM",
     "SchemaVersionError",
     "DesignRequest",
     "EvalResult",
+    "array_from_dict",
 ]
 
 #: Version of the request/result wire format.  Bump on incompatible change;
@@ -56,6 +59,52 @@ def _check_fields(payload: Mapping[str, Any], cls, kind: str) -> None:
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ValueError(f"{kind} has unknown field(s) {unknown}; known: {sorted(known)}")
+
+
+#: Largest ``rows``/``cols`` an array from the wire may have.  Model time
+#: grows with the array (a 256x256 perf request holds an executor for
+#: seconds), every array in the repository is at most 16x16, and the cap
+#: also bounds the key space of the models' geometry memos.
+MAX_ARRAY_DIM = 64
+
+
+def array_from_dict(payload: Any) -> ArrayConfig:
+    """Decode and check an ``array`` block that arrived from the wire.
+
+    The one validator behind every decoder that takes an array from a
+    request (``DesignRequest.from_dict`` and ``repro.service.wire``):
+    ``rows``/``cols`` are integers in ``1..MAX_ARRAY_DIM``, ``dtype_bytes``
+    an integer >= 1, ``freq_mhz``/``onchip_bw_gbps`` finite and > 0.
+    Raises ``ValueError`` naming the offending field.
+    """
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"array must be an object, got {type(payload).__name__}")
+    _check_fields(payload, ArrayConfig, "array")
+    array = ArrayConfig(**payload)
+
+    def is_int(value: Any) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    for name in ("rows", "cols"):
+        value = getattr(array, name)
+        if not is_int(value) or not 1 <= value <= MAX_ARRAY_DIM:
+            raise ValueError(
+                f"array {name} must be an integer in 1..{MAX_ARRAY_DIM}, got {value!r}"
+            )
+    if not is_int(array.dtype_bytes) or array.dtype_bytes < 1:
+        raise ValueError(
+            f"array dtype_bytes must be an integer >= 1, got {array.dtype_bytes!r}"
+        )
+    for name in ("freq_mhz", "onchip_bw_gbps"):
+        value = getattr(array, name)
+        if not (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and value > 0
+        ):
+            raise ValueError(f"array {name} must be a finite number > 0, got {value!r}")
+    return array
 
 
 @dataclass(frozen=True)
@@ -141,7 +190,7 @@ class DesignRequest:
         _check_fields(payload, cls, "DesignRequest")
         data = dict(payload)
         if data.get("array") is not None:
-            data["array"] = ArrayConfig(**data["array"])
+            data["array"] = array_from_dict(data["array"])
         else:
             data.pop("array", None)
         if data.get("cost") is not None:

@@ -105,26 +105,24 @@ def count_resources(spec: DataflowSpec, rows: int, cols: int, width: int = 16) -
         kind = flow.kind
         if kind is DataflowType.SYSTOLIC:
             s1, s2, dt = flow.systolic_direction
-            entries = sum(1 for p in grid.points() if grid.is_entry(p, (s1, s2)))
-            total.regs += (grid.size - entries) * (dt - 1)
-            if not flow.is_output:
-                total.sram_ports_per_cycle += entries
-            else:
-                exits = sum(1 for p in grid.points() if grid.is_exit(p, (s1, s2)))
-                total.sram_ports_per_cycle += exits
+            # entry PEs (inputs) and exit PEs (outputs) are equally many
+            ports = grid.boundary_count((s1, s2))
+            total.regs += (grid.size - ports) * (dt - 1)
+            total.sram_ports_per_cycle += ports
         elif kind is DataflowType.UNICAST:
             total.sram_ports_per_cycle += grid.size
         elif kind is DataflowType.MULTICAST:
             mc = (flow.multicast_direction[0], flow.multicast_direction[1])
-            lines = grid.lines(mc)
-            total.sram_ports_per_cycle += len(lines)
+            lines = grid.line_count(mc)
+            total.sram_ports_per_cycle += lines
             if flow.is_output:
                 # Reduction trees are local adder wiring, not long broadcast
                 # tracks — the paper notes tree outputs stay cheap.
-                total.adds += grid.size - len(lines)
-                total.regs += len(lines)  # root registers
+                total.adds += grid.size - lines
+                total.regs += lines  # root registers
             else:
-                total.bus_wire_hops += sum(len(line.points) for line in lines)
+                # lines partition the array: every PE sits on one bus
+                total.bus_wire_hops += grid.size
         elif kind is DataflowType.BROADCAST:
             total.sram_ports_per_cycle += 1
             if flow.is_output:
@@ -141,24 +139,24 @@ def count_resources(spec: DataflowSpec, rows: int, cols: int, width: int = 16) -
                 total.bus_wire_hops += grid.size  # scalar broadcast to all PEs
         elif kind is DataflowType.MULTICAST_STATIONARY:
             mc = (flow.multicast_direction[0], flow.multicast_direction[1])
-            lines = grid.lines(mc)
+            lines = grid.line_count(mc)
             if not flow.is_output:
-                total.bus_wire_hops += sum(len(line.points) for line in lines)
+                total.bus_wire_hops += grid.size
             if flow.is_output:
-                total.adds += (grid.size - len(lines)) + len(lines)
-                total.regs += len(lines)
-                total.muxes += len(lines)
+                total.adds += (grid.size - lines) + lines
+                total.regs += lines
+                total.muxes += lines
         elif kind is DataflowType.SYSTOLIC_MULTICAST:
             mc = (flow.multicast_direction[0], flow.multicast_direction[1])
             sy = flow.systolic_direction
-            lines = grid.lines(mc)
-            chains = grid.line_chain(mc, (sy[0], sy[1]))
+            lines = grid.line_count(mc)
+            chains, _ = grid.chain_stats(mc, (sy[0], sy[1]))
             if not flow.is_output:
-                total.bus_wire_hops += sum(len(line.points) for line in lines)
-            total.sram_ports_per_cycle += len(chains)
-            hops = len(lines) - len(chains)
+                total.bus_wire_hops += grid.size
+            total.sram_ports_per_cycle += chains
+            hops = lines - chains
             if flow.is_output:
-                total.adds += (grid.size - len(lines)) + hops
+                total.adds += (grid.size - lines) + hops
                 total.regs += hops * sy[2]
             else:
                 total.regs += hops * sy[2]

@@ -499,7 +499,15 @@ class EvaluationEngine:
             dataclasses.astuple(self.cost.params),
         )
 
-    def _design_key(self, statement: Statement, spec: DataflowSpec) -> str:
+    def _key_prefix(self, statement: Statement) -> tuple[str, str]:
+        """The ``repr`` of a design key's statement and configuration parts.
+
+        They are the same for every design of one stream, so :meth:`stream`
+        builds them once and :meth:`_design_key` splices them in.
+        """
+        return repr(self._statement_key(statement)), repr(self._config_key())
+
+    def _design_key(self, prefix: tuple[str, str], spec: DataflowSpec) -> str:
         # Canonical signatures identify hardware up to mirroring/rotating the
         # array, which only preserves the models' outputs when the array is
         # square; rectangular arrays fall back to the exact signature.
@@ -508,9 +516,10 @@ class EvaluationEngine:
             sig = spec.canonical_key or canonical_signature(spec)
         else:
             sig = spec.signature()
-        return repr(
-            (self._statement_key(statement), spec.selected, sig, self._config_key())
-        )
+        # byte-identical to repr((statement key, selected, sig, config key)),
+        # so persisted caches keep hitting
+        statement_repr, config_repr = prefix
+        return f"({statement_repr}, {spec.selected!r}, {sig!r}, {config_repr})"
 
     # -- stage 1+2: streaming enumeration with pruning ------------------
     def iter_space(
@@ -607,13 +616,13 @@ class EvaluationEngine:
         )
 
     def _lookup(
-        self, statement: Statement, spec: DataflowSpec, stats: EvaluationStats
+        self, prefix: tuple[str, str], spec: DataflowSpec, stats: EvaluationStats
     ) -> tuple[tuple | None, str | None]:
         """Memo-cache probe: ``(cached outcome, None)`` or ``(None, put-key)``."""
         stats.enumerated += 1
         if self.cache is None:
             return None, None
-        key = self._design_key(statement, spec)
+        key = self._design_key(prefix, spec)
         cached = self.cache.get("points", key)
         if cached is not None:
             stats.cache_hits += 1
@@ -660,8 +669,10 @@ class EvaluationEngine:
         else:
             source = self.iter_space(statement, stats=stats, **space_kwargs)
 
+        prefix = self._key_prefix(statement)
+
         def lookup(spec: DataflowSpec):
-            return self._lookup(statement, spec, stats)
+            return self._lookup(prefix, spec, stats)
 
         if workers <= 1:
             outcomes = self._iter_serial(source, lookup, stats)

@@ -8,16 +8,31 @@ Lines
 Multicast buses and systolic chains group PEs into *lines* along a direction
 ``d``: the set of PEs reachable from each other by integer steps of ``d``.
 The cross product ``row * d2 - col * d1`` is constant along a line and serves
-as its raw id; :func:`line_ids` normalizes raw ids to a dense ``0..G-1``
-range for port naming.
+as its raw id; :meth:`Grid.line_index` normalizes raw ids to a dense
+``0..G-1`` range for port naming.
+
+Counts
+------
+The analytic models read only *how many* boundary PEs, lines and chains a
+direction has, never which ones.  :meth:`Grid.boundary_count` and
+:meth:`Grid.max_steps` are closed forms; :meth:`Grid.line_count` and
+:meth:`Grid.chain_stats` are memoized per ``(rows, cols, direction)`` in
+bounded caches that hold integers only.  The walkers (:meth:`Grid.is_entry`,
+:meth:`Grid.entry_point`, :meth:`Grid.lines`, :meth:`Grid.line_chain`) stay
+uncached: they serve hardware generation and scheduling, and they are the
+reference the counts are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 __all__ = ["Grid", "cross", "Line"]
+
+#: Entries per count memo; a sweep touches a few dozen (grid, direction) keys.
+_MEMO_SIZE = 4096
 
 
 def cross(p: Sequence[int], d: Sequence[int]) -> int:
@@ -88,6 +103,22 @@ class Grid:
     def is_exit(self, p: Sequence[int], d: Sequence[int]) -> bool:
         return (p[0] + d[0], p[1] + d[1]) not in self
 
+    def boundary_count(self, d: Sequence[int]) -> int:
+        """Number of entry PEs along ``d`` (equally, of exit PEs).
+
+        A PE is *not* an entry exactly when ``p - d`` is in the array too,
+        and those PEs form the overlap of the array with its shift by ``d``.
+        """
+        inner = max(0, self.rows - abs(d[0])) * max(0, self.cols - abs(d[1]))
+        return self.size - inner
+
+    def max_steps(self, d: Sequence[int]) -> int:
+        """Largest ``entry_point(p, d)[1]`` over the array (equally, of
+        ``exit_point``): the most ``d``-steps that fit inside it."""
+        if d[0] == 0 and d[1] == 0:
+            raise ValueError("max_steps needs a nonzero direction")
+        return min((n - 1) // abs(x) for n, x in ((self.rows, d[0]), (self.cols, d[1])) if x)
+
     # -- lines -------------------------------------------------------------
     def lines(self, d: Sequence[int]) -> list[Line]:
         """All lines along direction ``d``, indexed densely by raw id order."""
@@ -103,6 +134,10 @@ class Grid:
             pts.sort(key=lambda p: p[0] * d[0] + p[1] * d[1])
             lines.append(Line(raw_id=raw, index=index, points=tuple(pts)))
         return lines
+
+    def line_count(self, d: Sequence[int]) -> int:
+        """``len(self.lines(d))``, memoized per grid shape and direction."""
+        return _line_count(self.rows, self.cols, (int(d[0]), int(d[1])))
 
     def line_index(self, d: Sequence[int]) -> dict[int, int]:
         """Map raw line id -> dense index for direction ``d``."""
@@ -143,3 +178,27 @@ class Grid:
                     cur += shift
                 chains.append(chain)
         return chains
+
+    def chain_stats(self, mc: Sequence[int], sy_space: Sequence[int]) -> tuple[int, int]:
+        """``(number of chains, longest chain)`` of :meth:`line_chain`,
+        memoized per grid shape and direction pair."""
+        return _chain_stats(
+            self.rows,
+            self.cols,
+            (int(mc[0]), int(mc[1])),
+            (int(sy_space[0]), int(sy_space[1])),
+        )
+
+
+# Module-level memos keyed by plain int tuples, so they never pin a Grid.
+@lru_cache(maxsize=_MEMO_SIZE)
+def _line_count(rows: int, cols: int, d: tuple[int, int]) -> int:
+    return len(Grid(rows, cols).lines(d))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _chain_stats(
+    rows: int, cols: int, mc: tuple[int, int], sy_space: tuple[int, int]
+) -> tuple[int, int]:
+    chains = Grid(rows, cols).line_chain(mc, sy_space)
+    return len(chains), max(len(chain) for chain in chains)

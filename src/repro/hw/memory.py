@@ -80,12 +80,10 @@ def plan_memory(spec: DataflowSpec, info: ArrayInfo) -> MemoryConfig:
         elif kind in (DataflowType.MULTICAST, DataflowType.MULTICAST_STATIONARY):
             n, pattern = len(wiring.line_map), "per_line"
         elif kind is DataflowType.SYSTOLIC_MULTICAST:
-            chains = len(grid.line_chain(wiring.line_dir, wiring.sy_space))
-            n, pattern = chains, "per_line"
+            n, _ = grid.chain_stats(wiring.line_dir, wiring.sy_space)
+            pattern = "per_line"
         elif kind is DataflowType.SYSTOLIC:
-            s = wiring.sy_space
-            n = sum(1 for p in grid.points() if grid.is_entry(p, s))
-            pattern = "stream"
+            n, pattern = grid.boundary_count(wiring.sy_space), "stream"
         elif kind is DataflowType.STATIONARY:
             n, pattern = grid.cols, "per_column"
         elif kind in (DataflowType.BROADCAST, DataflowType.FULL_REUSE):

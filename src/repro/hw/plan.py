@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from repro.core.dataflow import DataflowSpec, DataflowType
@@ -48,8 +49,18 @@ def choose_tile(spec: DataflowSpec, rows: int, cols: int) -> dict[str, int]:
     in full", matching the paper's experiments.
     """
     sel_space = spec.selected_space
-    extents = sel_space.extents
-    space_rows = spec.stt.space_rows
+    tile = _grow_tile(spec.stt.space_rows, sel_space.extents, rows, cols)
+    return dict(zip(sel_space.names, tile))
+
+
+@lru_cache(maxsize=4096)
+def _grow_tile(
+    space_rows: tuple[tuple[int, ...], ...],
+    extents: tuple[int, ...],
+    rows: int,
+    cols: int,
+) -> tuple[int, ...]:
+    """:func:`choose_tile`'s search, memoized on the ints it depends on."""
     dims = (rows, cols)
     tile = [1] * len(extents)
 
@@ -69,7 +80,7 @@ def choose_tile(spec: DataflowSpec, rows: int, cols: int) -> dict[str, int]:
                 if fits(cand):
                     tile = cand
                     grew = True
-    return dict(zip(sel_space.names, tile))
+    return tuple(tile)
 
 
 @dataclass(frozen=True)
@@ -144,32 +155,26 @@ class StagePlan:
         for flow in self.spec.input_flows:
             if flow.kind is DataflowType.SYSTOLIC:
                 s1, s2, dt = flow.systolic_direction
-                max_steps = max(
-                    self.grid.entry_point(p, (s1, s2))[1] for p in self.grid.points()
-                )
-                lead = max(lead, max_steps * dt)
+                lead = max(lead, self.grid.max_steps((s1, s2)) * dt)
             elif flow.kind is DataflowType.SYSTOLIC_MULTICAST:
-                mc = (flow.multicast_direction[0], flow.multicast_direction[1])
-                sy = flow.systolic_direction
-                chains = self.grid.line_chain(mc, (sy[0], sy[1]))
-                max_pos = max(len(chain) - 1 for chain in chains)
-                lead = max(lead, max_pos * sy[2])
+                lead = max(lead, self._chain_span(flow))
         return lead
 
     def _compute_out_lag(self) -> int:
         flow = self.spec.output_flow
         if flow.kind is DataflowType.SYSTOLIC:
             s1, s2, dt = flow.systolic_direction
-            max_steps = max(
-                self.grid.exit_point(p, (s1, s2))[1] for p in self.grid.points()
-            )
-            return max_steps * dt
+            return self.grid.max_steps((s1, s2)) * dt
         if flow.kind is DataflowType.SYSTOLIC_MULTICAST:
-            mc = (flow.multicast_direction[0], flow.multicast_direction[1])
-            sy = flow.systolic_direction
-            chains = self.grid.line_chain(mc, (sy[0], sy[1]))
-            return max(len(chain) - 1 for chain in chains) * sy[2]
+            return self._chain_span(flow)
         return 0
+
+    def _chain_span(self, flow) -> int:
+        """Cycles to cross the longest systolic chain of multicast lines."""
+        mc = flow.multicast_direction
+        sy = flow.systolic_direction
+        _, longest = self.grid.chain_stats((mc[0], mc[1]), (sy[0], sy[1]))
+        return (longest - 1) * sy[2]
 
     def _compute_timing(self) -> StageTiming:
         has_chain_load = any(

@@ -25,7 +25,9 @@ three analytic effects:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.dataflow import DataflowSpec, DataflowType
 from repro.hw.plan import StagePlan
@@ -102,7 +104,8 @@ class PerfModel:
         else:
             packed1, packed2 = f1, f2
         pack_factor = (packed1 // f1) * (packed2 // f2)
-        active_pes = self._active_pes(spec, plan) * pack_factor
+        active_pes = _active_pes(spec.stt.space_rows, plan.tile_extents, plan.footprint)
+        active_pes *= pack_factor
         utilization = active_pes / cfg.pes
 
         # --- per-stage cycles --------------------------------------------
@@ -142,55 +145,7 @@ class PerfModel:
             },
         )
 
-    def evaluate_named(self, statement, name: str) -> PerfResult:
-        """Deprecated second entry point; use the unified API instead.
-
-        Named-dataflow resolution now lives in one place — the ``perf``
-        backend of :mod:`repro.api` (``Session.evaluate(workload, name)``)
-        — so the model exposes a single ``evaluate(spec)`` signature like
-        every other backend.
-        """
-        import warnings
-
-        from repro.core.naming import spec_from_name
-
-        warnings.warn(
-            "PerfModel.evaluate_named() is deprecated; use "
-            "repro.api.Session.evaluate(workload, name, backend='perf') or "
-            "PerfModel.evaluate(naming.spec_from_name(statement, name))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.evaluate(spec_from_name(statement, name))
-
     # ------------------------------------------------------------------
-    def _active_pes(self, spec: DataflowSpec, plan: StagePlan) -> int:
-        """Distinct PE coordinates touched by one (unpacked) tile."""
-        space_rows = spec.stt.space_rows
-        # Only loops with a nonzero column in some space row affect placement.
-        relevant = [
-            i
-            for i in range(len(plan.tile_extents))
-            if any(row[i] != 0 for row in space_rows)
-        ]
-        count = 1
-        for i in relevant:
-            count *= plan.tile_extents[i]
-        if count > 1_000_000:
-            return plan.footprint[0] * plan.footprint[1]
-        import itertools
-
-        seen = set()
-        ranges = [
-            range(plan.tile_extents[i]) if i in relevant else range(1)
-            for i in range(len(plan.tile_extents))
-        ]
-        for x in itertools.product(*ranges):
-            p1 = sum(c * v for c, v in zip(space_rows[0], x))
-            p2 = sum(c * v for c, v in zip(space_rows[1], x))
-            seen.add((p1, p2))
-        return len(seen)
-
     def _elements_per_cycle(
         self, spec: DataflowSpec, plan: StagePlan, active_pes: int
     ) -> float:
@@ -204,10 +159,9 @@ class PerfModel:
                 demand += active_pes  # every PE hits the buffer every cycle
             elif kind is DataflowType.SYSTOLIC:
                 s = flow.systolic_direction
-                entries = sum(1 for p in grid.points() if grid.is_entry(p, (s[0], s[1])))
-                demand += entries
+                demand += grid.boundary_count((s[0], s[1]))
             elif kind in (DataflowType.MULTICAST,):
-                demand += len(grid.lines((flow.multicast_direction[0], flow.multicast_direction[1])))
+                demand += grid.line_count((flow.multicast_direction[0], flow.multicast_direction[1]))
             elif kind in (DataflowType.BROADCAST, DataflowType.FULL_REUSE):
                 demand += 1
             elif kind is DataflowType.STATIONARY:
@@ -215,14 +169,45 @@ class PerfModel:
                 demand += active_pes / exec_cycles
             elif kind is DataflowType.MULTICAST_STATIONARY:
                 mc = flow.multicast_direction
-                demand += len(grid.lines((mc[0], mc[1]))) / exec_cycles
+                demand += grid.line_count((mc[0], mc[1])) / exec_cycles
             elif kind is DataflowType.SYSTOLIC_MULTICAST:
                 mc = flow.multicast_direction
-                chains = grid.line_chain(
+                chains, _ = grid.chain_stats(
                     (mc[0], mc[1]),
                     (flow.systolic_direction[0], flow.systolic_direction[1]),
                 )
-                demand += len(chains)
+                demand += chains
             else:  # pragma: no cover
                 raise AssertionError(kind)
         return demand
+
+
+@lru_cache(maxsize=4096)
+def _active_pes(
+    space_rows: tuple[tuple[int, ...], ...],
+    tile_extents: tuple[int, ...],
+    footprint: tuple[int, int],
+) -> int:
+    """Distinct PE coordinates touched by one (unpacked) tile, memoized on
+    the ints it depends on (the footprint only feeds the huge-tile bound)."""
+    # Only loops with a nonzero column in some space row affect placement.
+    relevant = [
+        i
+        for i in range(len(tile_extents))
+        if any(row[i] != 0 for row in space_rows)
+    ]
+    count = 1
+    for i in relevant:
+        count *= tile_extents[i]
+    if count > 1_000_000:
+        return footprint[0] * footprint[1]
+    seen = set()
+    ranges = [
+        range(tile_extents[i]) if i in relevant else range(1)
+        for i in range(len(tile_extents))
+    ]
+    for x in itertools.product(*ranges):
+        p1 = sum(c * v for c, v in zip(space_rows[0], x))
+        p2 = sum(c * v for c, v in zip(space_rows[1], x))
+        seen.add((p1, p2))
+    return len(seen)

@@ -32,7 +32,7 @@ import dataclasses
 import json
 from typing import Any, Mapping, NoReturn
 
-from repro.api.types import SchemaVersionError
+from repro.api.types import SchemaVersionError, array_from_dict
 from repro.core.dataflow import DataflowSpec
 from repro.core.enumerate import EnumerationStats
 from repro.core.naming import check_bound
@@ -274,14 +274,11 @@ def job_items(payload: Mapping[str, Any]) -> list[dict[str, Any]]:
 
 
 # ----------------------------------------------------------------------
-# Array configs
+# Array configs (the validating decoder, ``array_from_dict``, lives in
+# ``repro.api.types``, so request bodies decode through the same checks)
 # ----------------------------------------------------------------------
 def array_to_dict(array: ArrayConfig) -> dict[str, Any]:
     return dataclasses.asdict(array)
-
-
-def array_from_dict(payload: Mapping[str, Any]) -> ArrayConfig:
-    return ArrayConfig(**payload)
 
 
 # ----------------------------------------------------------------------

@@ -473,27 +473,6 @@ class TestDeprecationShims:
             p.metrics() for p in session_points
         ]
 
-    def test_perf_evaluate_named_warns(self):
-        model = PerfModel(ArrayConfig(rows=8, cols=8))
-        gemm = workloads.gemm(64, 64, 64)
-        with pytest.warns(DeprecationWarning, match="Session.evaluate"):
-            r = model.evaluate_named(gemm, "MNK-SST")
-        assert 0 < r.normalized <= 1
-
-    def test_perf_evaluate_named_matches_session_results(self):
-        """The shim resolves and scores exactly like the perf backend."""
-        model = PerfModel(ArrayConfig(rows=8, cols=8))
-        gemm = workloads.gemm(64, 64, 64)
-        with pytest.warns(DeprecationWarning):
-            shim = model.evaluate_named(gemm, "MNK-SST")
-        via_session = Session(ArrayConfig(rows=8, cols=8)).evaluate(
-            "gemm", "MNK-SST", extents={"m": 64, "n": 64, "k": 64}
-        )
-        assert via_session.ok
-        assert via_session["cycles"] == shim.cycles
-        assert via_session["normalized_perf"] == shim.normalized
-        assert via_session["utilization"] == shim.utilization
-
     def test_new_paths_do_not_warn(self):
         session = Session(ArrayConfig(rows=8, cols=8))
         with warnings.catch_warnings():

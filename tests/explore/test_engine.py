@@ -274,6 +274,57 @@ class TestMemoCache:
         ]
 
 
+    @pytest.mark.parametrize("rows, cols", [(8, 8), (8, 4)])
+    def test_design_keys_keep_their_bytes(self, rows, cols):
+        """Keys built from the once-per-stream prefix are byte-identical to
+        ``repr((statement key, selection, signature, config key))`` built
+        per design from ``dataclasses.astuple``, so existing cache files
+        keep hitting.  Square arrays key on the canonical signature,
+        rectangular ones on the exact one."""
+        import dataclasses
+
+        from repro.core.enumerate import canonical_signature
+
+        cache = MemoCache()
+        engine = EvaluationEngine(ArrayConfig(rows=rows, cols=cols), cache=cache)
+        statement = workloads.depthwise_conv(k=8, y=6, x=6, p=3, q=3)
+        specs = list(engine.iter_space(statement, per_selection_limit=4))
+        engine.evaluate(statement, specs=specs)
+
+        statement_key = (
+            statement.name,
+            statement.space.names,
+            statement.space.extents,
+            tuple(
+                (acc.tensor.name, acc.tensor.is_output, tuple(acc.matrix))
+                for acc in statement.accesses
+            ),
+        )
+        config_key = (
+            dataclasses.astuple(engine.array),
+            engine.cost.rows,
+            engine.cost.cols,
+            engine.cost.width,
+            engine.cost.freq_mhz,
+            engine.cost.sram_words,
+            dataclasses.astuple(engine.cost.params),
+        )
+        expected = [
+            repr(
+                (
+                    statement_key,
+                    spec.selected,
+                    canonical_signature(spec) if rows == cols else spec.signature(),
+                    config_key,
+                )
+            )
+            for spec in specs
+        ]
+        prefix = engine._key_prefix(statement)
+        assert [engine._design_key(prefix, spec) for spec in specs] == expected
+        assert sorted(cache.dump()["points"]) == sorted(set(expected))
+
+
 class TestSweep:
     def test_multi_workload_sweep(self, small_engine):
         results = small_engine.sweep(

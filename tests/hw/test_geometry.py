@@ -158,3 +158,60 @@ class TestLineChains:
         chains = g.line_chain(mc, sy)
         covered = [raw for chain in chains for raw in chain]
         assert sorted(covered) == sorted(line.raw_id for line in g.lines(mc))
+
+
+#: Every grid up to 8x8 and every direction in [-3, 3]^2 except 0.
+SMALL_GRIDS = [(rows, cols) for rows in range(1, 9) for cols in range(1, 9)]
+SMALL_DIRS = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+#: Systolic hops for the chain cases (the chain walker is the slow one).
+HOPS = [(a, b) for a in range(-1, 2) for b in range(-1, 2) if (a, b) != (0, 0)]
+
+
+class TestCounts:
+    """The closed forms and count memos against the walkers they replace."""
+
+    def test_boundary_count_and_max_steps_match_walkers(self):
+        for rows, cols in SMALL_GRIDS:
+            g = Grid(rows, cols)
+            points = list(g.points())
+            for d in SMALL_DIRS:
+                entries = sum(g.is_entry(p, d) for p in points)
+                exits = sum(g.is_exit(p, d) for p in points)
+                assert g.boundary_count(d) == entries == exits, (rows, cols, d)
+                deepest_entry = max(g.entry_point(p, d)[1] for p in points)
+                deepest_exit = max(g.exit_point(p, d)[1] for p in points)
+                assert g.max_steps(d) == deepest_entry == deepest_exit, (rows, cols, d)
+
+    def test_line_count_and_chain_stats_match_walkers(self):
+        for rows, cols in SMALL_GRIDS:
+            g = Grid(rows, cols)
+            for mc in SMALL_DIRS:
+                assert g.line_count(mc) == len(g.lines(mc)), (rows, cols, mc)
+                for sy in HOPS:
+                    if g.line_shift(mc, sy) == 0:
+                        continue
+                    chains = g.line_chain(mc, sy)
+                    expected = (len(chains), max(len(chain) for chain in chains))
+                    assert g.chain_stats(mc, sy) == expected, (rows, cols, mc, sy)
+
+    def test_transposed_grids_do_not_alias(self):
+        wide, tall = Grid(4, 5), Grid(5, 4)
+        # rows and columns differ, so every answer differs; asking each grid
+        # again after the other shows the memo keys keep them apart
+        for _ in range(2):
+            assert (wide.line_count((1, 0)), tall.line_count((1, 0))) == (5, 4)
+            assert (wide.chain_stats((1, 0), (0, 1)), tall.chain_stats((1, 0), (0, 1))) == (
+                (1, 5),
+                (1, 4),
+            )
+            assert (wide.max_steps((1, 0)), tall.max_steps((1, 0))) == (3, 4)
+            assert (wide.boundary_count((1, 2)), tall.boundary_count((1, 2))) == (11, 12)
+
+    def test_zero_direction_rejected(self):
+        g = Grid(3, 3)
+        with pytest.raises(ValueError):
+            g.max_steps((0, 0))
+        with pytest.raises(ValueError):
+            g.line_count((0, 0))
+        with pytest.raises(ValueError):
+            g.chain_stats((0, 1), (0, 2))

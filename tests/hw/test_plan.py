@@ -130,3 +130,20 @@ class TestStagePlan:
                 assert pt not in visited
                 visited.add(pt)
         assert len(visited) == small.space.volume()
+
+
+class TestChooseTileMemo:
+    def test_returned_dict_is_a_fresh_copy(self, gemm_big):
+        spec = naming.spec_from_name(gemm_big, "MNK-SST")
+        first = choose_tile(spec, 4, 4)
+        expected = dict(first)
+        first["m"] = 999
+        first.clear()
+        assert choose_tile(spec, 4, 4) == expected
+
+    def test_transposed_arrays_do_not_alias(self, gemm_big):
+        spec = naming.spec_from_name(gemm_big, "MNK-SST")
+        wide, tall = choose_tile(spec, 4, 8), choose_tile(spec, 8, 4)
+        assert wide != tall
+        assert choose_tile(spec, 4, 8) == wide
+        assert sorted(wide.values()) == sorted(tall.values())

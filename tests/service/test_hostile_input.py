@@ -237,3 +237,94 @@ class TestBoundCap:
         for bound in (0, 3, "1", False):
             with pytest.raises(ValueError, match="bound"):
                 wire.engine_options({"options": {"bound": bound}})
+
+
+class TestArrayLimits:
+    """Every route that takes an ``array`` checks it with one validator
+    (``repro.api.types.array_from_dict``) before any model runs."""
+
+    EXTENTS = {"m": 4, "n": 4, "k": 4}
+
+    def _bodies(self, array):
+        request = DesignRequest(
+            workload="gemm", dataflow="MNK-SST", extents=self.EXTENTS
+        ).to_dict()
+        request["array"] = array
+        statement = {"workload": "gemm", "extents": self.EXTENTS}
+        return {
+            "/v1/evaluate": request,
+            "/v1/evaluate_many": {"requests": [request]},
+            "/v1/explore": dict(statement, array=array),
+            "/v1/evaluate_names": dict(statement, names=["MNK-SST"], array=array),
+            "/v1/jobs": {"workloads": ["gemm"], "extents": self.EXTENTS, "configs": [array]},
+        }
+
+    def _assert_refused(self, service, array, field):
+        for path, body in self._bodies(array).items():
+            status, raw = _post(service, path, json.dumps(body).encode())
+            assert status == 400, (path, array, status, raw)
+            payload = json.loads(raw)
+            assert payload["error_type"] == "ValueError", (path, payload)
+            assert field in payload["error"], (path, payload)
+
+    @pytest.mark.parametrize(
+        "value", [0, -1, 65, 10**6, True, "16", 1.5, float("nan"), float("inf")]
+    )
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_bad_dimension_is_400_on_every_route(self, service, field, value):
+        self._assert_refused(service, {"rows": 2, "cols": 2, field: value}, field)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dtype_bytes", 0),
+            ("dtype_bytes", -1),
+            ("dtype_bytes", 1.5),
+            ("dtype_bytes", True),
+            ("dtype_bytes", "2"),
+            ("freq_mhz", 0),
+            ("freq_mhz", -320.0),
+            ("freq_mhz", float("nan")),
+            ("freq_mhz", float("inf")),
+            ("freq_mhz", True),
+            ("freq_mhz", "320"),
+            ("onchip_bw_gbps", 0),
+            ("onchip_bw_gbps", float("-inf")),
+            ("onchip_bw_gbps", None),
+        ],
+    )
+    def test_bad_rate_or_width_is_400_on_every_route(self, service, field, value):
+        # freq_mhz 0 and dtype_bytes 0 used to escape as a 500 ZeroDivisionError
+        self._assert_refused(service, {"rows": 2, "cols": 2, field: value}, field)
+
+    def test_unknown_field_or_non_object_is_400(self, service):
+        self._assert_refused(service, {"rows": 2, "cols": 2, "depth": 3}, "depth")
+        self._assert_refused(service, [2, 2], "array")
+
+    def test_largest_array_still_answers_200(self, service):
+        request = DesignRequest(
+            workload="gemm",
+            dataflow="MNK-SST",
+            extents={"m": 64, "n": 64, "k": 8},
+            array=ArrayConfig(rows=64, cols=64),
+        )
+        status, raw = _post(service, "/v1/evaluate", request.to_json().encode())
+        assert status == 200, raw
+        payload = json.loads(raw)
+        assert payload["ok"] is True
+        assert 0 < payload["metrics"]["normalized_perf"] <= 1
+
+    def test_validator_unit_contract(self):
+        from repro.api.types import MAX_ARRAY_DIM, array_from_dict
+
+        assert array_from_dict({}) == ArrayConfig()
+        edge = {"rows": MAX_ARRAY_DIM, "cols": 1, "freq_mhz": 100, "dtype_bytes": 1}
+        assert array_from_dict(edge) == ArrayConfig(**edge)
+        assert wire.array_from_dict is array_from_dict
+        with pytest.raises(ValueError, match="rows"):
+            array_from_dict({"rows": MAX_ARRAY_DIM + 1})
+        with pytest.raises(ValueError, match="rows"):
+            DesignRequest.from_dict(
+                dict(DesignRequest(workload="gemm", dataflow="MNK-SST").to_dict(),
+                     array={"rows": 0})
+            )
