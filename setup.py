@@ -5,13 +5,6 @@ installs are unavailable; this file lets `pip install -e .` use the classic
 `setup.py develop` path.  All metadata lives in pyproject.toml.
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "networkx>=3.0"],
-)
+setup()

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.api.registry import _register_builtin
-from repro.api.types import DesignRequest, EvalResult
+from repro.api.types import DesignRequest, EvalResult, check_resolve_options
 from repro.core.dataflow import DataflowSpec
 from repro.core.naming import best_spec_from_name, spec_from_name
 from repro.core.stt import STT
@@ -63,14 +63,18 @@ def resolve_request(request: DesignRequest) -> tuple[Statement, DataflowSpec]:
     resolved per ``options["resolve"]``: ``"simplest"`` (default) takes the
     first matching STT in complexity order, ``"best"`` scores every match
     (up to ``options["limit"]``) with the performance model on the request's
-    array — the policy the CLI and the Fig. 5 benchmarks use.
+    array — the policy the CLI and the Fig. 5 benchmarks use.  ``bound`` and
+    ``limit`` are checked by :func:`repro.api.types.check_resolve_options`
+    first.
     """
     statement = workloads.by_name(request.workload, **request.extents)
     if request.stt is not None:
         spec = DataflowSpec(statement, tuple(request.selection), STT(request.stt))
         return statement, spec
     resolve = request.options.get("resolve", "simplest")
-    bound = int(request.options.get("bound", 1))
+    bound = request.options.get("bound", 1)
+    limit = request.options.get("limit", 24)
+    check_resolve_options(bound=bound, limit=limit)
     if resolve == "best":
         model = PerfModel(request.array)
         spec = best_spec_from_name(
@@ -78,7 +82,7 @@ def resolve_request(request: DesignRequest) -> tuple[Statement, DataflowSpec]:
             request.dataflow,
             lambda s: model.evaluate(s).normalized,
             bound=bound,
-            limit=int(request.options.get("limit", 24)),
+            limit=limit,
         )
     elif resolve == "simplest":
         spec = spec_from_name(statement, request.dataflow, bound=bound)

@@ -24,16 +24,20 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.core.naming import check_bound
 from repro.cost.model import CostParams
 from repro.perf.model import ArrayConfig
 
 __all__ = [
     "SCHEMA_VERSION",
     "MAX_ARRAY_DIM",
+    "MAX_NAMES",
+    "MAX_RESOLVE_LIMIT",
     "SchemaVersionError",
     "DesignRequest",
     "EvalResult",
     "array_from_dict",
+    "check_resolve_options",
 ]
 
 #: Version of the request/result wire format.  Bump on incompatible change;
@@ -105,6 +109,43 @@ def array_from_dict(payload: Any) -> ArrayConfig:
         ):
             raise ValueError(f"array {name} must be a finite number > 0, got {value!r}")
     return array
+
+
+#: Most matches ``resolve=best`` scores for one name.  Every caller in the
+#: repository uses the default, 24; each match is one perf evaluation, and
+#: an unbounded limit scored all of a GEMM name's matches (1.06 s at bound
+#: 1) and found 1,985 in the first 22 s at bound 2.
+MAX_RESOLVE_LIMIT = 64
+
+#: Most names one ``/v1/evaluate_names`` call resolves.  Each name costs
+#: 0.2-1.5 s at bound 1; the longest list in the repository has 10 (the
+#: Fig. 5 GEMM benchmark).
+MAX_NAMES = 16
+
+
+def check_resolve_options(*, bound: Any, limit: Any, names: Any = ()) -> None:
+    """Check the name-resolution options of a request from the wire.
+
+    The one validator behind ``/v1/evaluate`` (its ``options``) and
+    ``/v1/evaluate_names``: ``bound`` passes
+    :func:`repro.core.naming.check_bound`, ``limit`` is an integer in
+    ``1..MAX_RESOLVE_LIMIT``, and ``names`` is a list of at most
+    ``MAX_NAMES`` strings.  Raises ``ValueError`` naming the field.
+    """
+    check_bound(bound)
+    if (
+        isinstance(limit, bool)
+        or not isinstance(limit, int)
+        or not 1 <= limit <= MAX_RESOLVE_LIMIT
+    ):
+        raise ValueError(f"limit must be an integer in 1..{MAX_RESOLVE_LIMIT}, got {limit!r}")
+    if not (
+        isinstance(names, (list, tuple))
+        and len(names) <= MAX_NAMES
+        and all(isinstance(name, str) for name in names)
+    ):
+        # no echo: the list is the part of the body that can be long
+        raise ValueError(f"names must be a list of at most {MAX_NAMES} strings")
 
 
 @dataclass(frozen=True)

@@ -294,7 +294,8 @@ class DataflowSpec:
         self.stt = stt
         self._flows: tuple[TensorDataflow, ...] | None = None
         #: The design's :func:`repro.core.enumerate.canonical_signature`, set
-        #: by canonical enumeration (which computes it in batch) so consumers
+        #: by canonical enumeration (which computes it in batch) and by the
+        #: engine's replay of a canonical space from its cache, so consumers
         #: need not recompute it; ``None`` for specs built any other way.
         self.canonical_key: tuple | None = None
 

@@ -217,14 +217,17 @@ class EvaluationResult:
 class MemoCache:
     """Two-level memo cache: in-memory dict plus optional on-disk JSON.
 
-    Three sections, all keyed by strings stable across processes and runs:
+    Four sections, all keyed by strings stable across processes and runs:
 
     - ``points`` — evaluated metrics (or structured failures) keyed by
       ``(statement, selection, canonical_signature, array_config,
       cost_params)``.
-    - ``spaces`` — enumerated design spaces as ``(selection, STT matrix)``
-      pairs keyed by the statement and enumeration options; a hit skips the
-      STT-candidate walk.
+    - ``spaces`` — enumerated design spaces keyed by a format tag
+      (:data:`_SPACE_FORMAT`), the statement and the enumeration options.
+      Each design is a ``[selection, STT matrix, canonical key]`` triple,
+      the key being the design's :func:`canonical_signature` as JSON lists
+      (``null`` for non-canonical spaces).  A hit skips the STT-candidate
+      walk and, on square arrays, the key computation.
     - ``names`` — resolved paper dataflow names (``MNK-SST`` -> simplest best
       STT) keyed by statement, name and scoring configuration.
     - ``api`` — whole :class:`repro.api.EvalResult` payloads keyed by the
@@ -377,6 +380,75 @@ class MemoCache:
             self._dirty = True
 
 
+#: Leads every ``spaces`` key.  Entries written before the canonical key
+#: was stored (``[selection, matrix]`` pairs under an untagged key) are never
+#: read, and builds that wrote them never read these: after an upgrade each
+#: space is enumerated once more, and its points keep hitting.
+_SPACE_FORMAT = "v2"
+
+
+def _key_to_json(key: tuple | None) -> list | None:
+    """A :func:`canonical_signature` as JSON lists (``None`` stays ``None``)."""
+    if key is None:
+        return None
+    return [[name, kind, [list(vec) for vec in basis]] for name, kind, basis in key]
+
+
+def _key_from_json(key: object, tensors: int) -> tuple:
+    """The :func:`canonical_signature` tuple a stored key encodes.
+
+    Raises ``ValueError`` unless ``key`` holds one ``[name, kind, [[p1, p2,
+    dt], ...]]`` entry per tensor, with string name and kind and integer
+    components.
+    """
+    if not isinstance(key, list) or len(key) != tensors:
+        raise ValueError(f"canonical key needs {tensors} tensor entries")
+    out = []
+    for entry in key:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], str)
+            and isinstance(entry[2], list)
+            and all(
+                isinstance(vec, list) and len(vec) == 3 and all(type(v) is int for v in vec)
+                for vec in entry[2]
+            )
+        ):
+            raise ValueError("malformed canonical key entry")
+        name, kind, basis = entry
+        out.append((name, kind, tuple(tuple(vec) for vec in basis)))
+    return tuple(out)
+
+
+def _replayed_specs(statement: Statement, stored: object) -> list[DataflowSpec] | None:
+    """The specs a ``spaces`` entry records, or ``None`` when it is malformed.
+
+    The entry comes from disk or from another server's ``/v1/cache``, so
+    every STT is validated again and a malformed design makes the whole
+    entry a miss.  A well-formed canonical key is trusted, like a stored
+    point.
+    """
+    if not isinstance(stored, list):
+        return None
+    specs = []
+    try:
+        for entry in stored:
+            if not isinstance(entry, list) or len(entry) != 3:
+                return None
+            sel, matrix, key = entry
+            spec = DataflowSpec(
+                statement, tuple(sel), STT(tuple(tuple(row) for row in matrix))
+            )
+            if key is not None:
+                spec.canonical_key = _key_from_json(key, len(statement.accesses))
+            specs.append(spec)
+    except (TypeError, ValueError):
+        return None
+    return specs
+
+
 # ----------------------------------------------------------------------
 # Worker functions (module-level so the process pool can pickle them)
 # ----------------------------------------------------------------------
@@ -511,7 +583,8 @@ class EvaluationEngine:
         # Canonical signatures identify hardware up to mirroring/rotating the
         # array, which only preserves the models' outputs when the array is
         # square; rectangular arrays fall back to the exact signature.
-        # Canonical enumeration hands its specs over with the key computed.
+        # Canonical enumeration and space-cache replay hand their specs over
+        # with the key computed.
         if self.array.rows == self.array.cols:
             sig = spec.canonical_key or canonical_signature(spec)
         else:
@@ -537,9 +610,12 @@ class EvaluationEngine:
     ) -> Iterator[DataflowSpec]:
         """Stream the pruned design space, through the space cache when warm.
 
-        A cache hit replays the stored ``(selection, STT matrix)`` pairs —
-        reconstructing a spec is ~100x cheaper than discovering it — and a
-        miss records the pairs as they stream past for the next run.
+        A cache hit replays the stored ``(selection, STT matrix, canonical
+        key)`` triples — reconstructing a spec is ~100x cheaper than
+        discovering it, and its replayed :attr:`DataflowSpec.canonical_key`
+        spares :meth:`stream` the signature — and a miss records them as
+        they stream past for the next run.  A malformed entry is a miss, and
+        the re-enumerated space overwrites it.
         """
         allowed_types = ONE_D_TYPES if one_d_only else None
         stats = stats or EvaluationStats()
@@ -552,6 +628,7 @@ class EvaluationEngine:
         if cacheable:
             space_key = repr(
                 (
+                    _SPACE_FORMAT,
                     self._statement_key(statement),
                     bound,
                     sorted(t.value for t in allowed_types) if allowed_types else None,
@@ -562,14 +639,10 @@ class EvaluationEngine:
                 )
             )
             stored = self.cache.get("spaces", space_key)
-            if stored is not None:
+            replayed = None if stored is None else _replayed_specs(statement, stored)
+            if replayed is not None:
                 stats.space_cache_hit = True
-                for sel, matrix in stored:
-                    yield DataflowSpec(
-                        statement,
-                        tuple(sel),
-                        STT(tuple(tuple(row) for row in matrix)),
-                    )
+                yield from replayed
                 return
         recorded: list[list] = []
         for spec in iter_designs(
@@ -585,7 +658,11 @@ class EvaluationEngine:
         ):
             if cacheable:
                 recorded.append(
-                    [list(spec.selected), [list(row) for row in spec.stt.matrix]]
+                    [
+                        list(spec.selected),
+                        [list(row) for row in spec.stt.matrix],
+                        _key_to_json(spec.canonical_key),
+                    ]
                 )
             yield spec
         if cacheable:

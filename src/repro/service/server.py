@@ -64,7 +64,12 @@ from typing import Any, Mapping
 from urllib.parse import parse_qs
 
 from repro.api.session import LocalSession
-from repro.api.types import SCHEMA_VERSION, DesignRequest, SchemaVersionError
+from repro.api.types import (
+    SCHEMA_VERSION,
+    DesignRequest,
+    SchemaVersionError,
+    check_resolve_options,
+)
 from repro.explore.engine import EvaluationResult, EvaluationStats
 from repro.service import wire
 
@@ -652,9 +657,10 @@ class EvaluationService:
             )
         elif route == ("POST", "/v1/evaluate_names"):
             statement = wire.instantiate_statement(payload)
-            names = payload.get("names") or []
-            bound = int(payload.get("bound", 1))
-            limit = int(payload.get("limit", 24))
+            names = payload.get("names", [])
+            bound = payload.get("bound", 1)
+            limit = payload.get("limit", 24)
+            check_resolve_options(bound=bound, limit=limit, names=names)
             array = (
                 wire.array_from_dict(payload["array"]) if payload.get("array") else None
             )

@@ -10,6 +10,7 @@ from repro.explore.engine import (
     ONE_D_TYPES,
     DesignFailure,
     EvaluationEngine,
+    EvaluationStats,
     MemoCache,
 )
 from repro.ir import workloads
@@ -274,13 +275,15 @@ class TestMemoCache:
         ]
 
 
+    @pytest.mark.parametrize("replayed", [False, True])
     @pytest.mark.parametrize("rows, cols", [(8, 8), (8, 4)])
-    def test_design_keys_keep_their_bytes(self, rows, cols):
+    def test_design_keys_keep_their_bytes(self, rows, cols, replayed):
         """Keys built from the once-per-stream prefix are byte-identical to
         ``repr((statement key, selection, signature, config key))`` built
         per design from ``dataclasses.astuple``, so existing cache files
         keep hitting.  Square arrays key on the canonical signature,
-        rectangular ones on the exact one."""
+        rectangular ones on the exact one, whether the specs come from
+        enumeration or from a replay of the space cache."""
         import dataclasses
 
         from repro.core.enumerate import canonical_signature
@@ -289,6 +292,10 @@ class TestMemoCache:
         engine = EvaluationEngine(ArrayConfig(rows=rows, cols=cols), cache=cache)
         statement = workloads.depthwise_conv(k=8, y=6, x=6, p=3, q=3)
         specs = list(engine.iter_space(statement, per_selection_limit=4))
+        if replayed:
+            stats = EvaluationStats()
+            specs = list(engine.iter_space(statement, per_selection_limit=4, stats=stats))
+            assert stats.space_cache_hit
         engine.evaluate(statement, specs=specs)
 
         statement_key = (
@@ -323,6 +330,157 @@ class TestMemoCache:
         prefix = engine._key_prefix(statement)
         assert [engine._design_key(prefix, spec) for spec in specs] == expected
         assert sorted(cache.dump()["points"]) == sorted(set(expected))
+
+
+def _counting_signatures(monkeypatch) -> list:
+    """Count the engine's calls to ``canonical_signature``, one entry each."""
+    import repro.explore.engine as engine_mod
+
+    calls = []
+    real = engine_mod.canonical_signature
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(engine_mod, "canonical_signature", counted)
+    return calls
+
+
+def _point_keys(engine, statement, points) -> list[str]:
+    prefix = engine._key_prefix(statement)
+    return [engine._design_key(prefix, p.spec) for p in points]
+
+
+class TestSpaceCacheKeys:
+    """The ``spaces`` section stores each design's canonical key beside its
+    ``(selection, STT)`` pair, so a warm stream on a square array computes
+    no signature; the entry format is versioned through the space key."""
+
+    DW = dict(k=8, y=6, x=6, p=3, q=3)
+
+    def _cold(self, path, **kwargs):
+        engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
+        statement = workloads.depthwise_conv(**self.DW)
+        cold = engine.evaluate(statement, per_selection_limit=4, **kwargs)
+        return statement, cold, _point_keys(engine, statement, cold.points)
+
+    @staticmethod
+    def _space_entry(path):
+        spaces = json.loads(path.read_text())["spaces"]
+        assert len(spaces) == 1
+        return next(iter(spaces.items()))
+
+    @staticmethod
+    def _space_entry_value(path, key):
+        return json.loads(path.read_text())["spaces"][key]
+
+    def test_warm_stream_computes_no_signature(self, tmp_path, monkeypatch):
+        path = tmp_path / "memo.json"
+        statement, cold, cold_keys = self._cold(path)
+        calls = _counting_signatures(monkeypatch)
+        engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
+        warm = engine.evaluate(statement, per_selection_limit=4)
+        assert warm.stats.space_cache_hit
+        assert warm.stats.cache_hits == len(cold) > 0
+        assert _point_keys(engine, statement, warm.points) == cold_keys
+        assert calls == []
+
+    def test_replayed_keys_match_fresh_signatures(self, tmp_path):
+        """Every Table II workload, flushed to JSON and reloaded: each
+        replayed key has the bytes of a freshly computed signature."""
+        from repro.core.dataflow import DataflowSpec
+        from repro.core.enumerate import canonical_signature
+
+        path = tmp_path / "memo.json"
+        statements = [
+            workloads.by_name(name, **{loop: 4 for loop in workloads.accepted_extents(name)})
+            for name in workloads.TABLE_II
+        ]
+        cold = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
+        for statement in statements:
+            list(cold.iter_space(statement, per_selection_limit=8))
+        cold.cache.flush()
+        warm = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
+        replayed = 0
+        for statement in statements:
+            stats = EvaluationStats()
+            for spec in warm.iter_space(statement, per_selection_limit=8, stats=stats):
+                fresh = DataflowSpec(statement, spec.selected, spec.stt)
+                assert repr(spec.canonical_key) == repr(canonical_signature(fresh))
+                replayed += 1
+            assert stats.space_cache_hit
+        assert replayed > 6 * 8
+
+    def test_entry_under_the_untagged_key_is_not_read(self, tmp_path):
+        """Builds before the key was stored wrote ``[selection, matrix]``
+        pairs under an untagged space key; that entry is never read.  The
+        space is enumerated again, and its points still hit."""
+        import ast
+
+        path = tmp_path / "memo.json"
+        statement, cold, cold_keys = self._cold(path)
+        key, entry = self._space_entry(path)
+        tag, *rest = ast.literal_eval(key)
+        assert tag == "v2"
+        data = json.loads(path.read_text())
+        data["spaces"] = {repr(tuple(rest)): [[sel, matrix] for sel, matrix, _ in entry]}
+        path.write_text(json.dumps(data))
+
+        engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
+        warm = engine.evaluate(statement, per_selection_limit=4)
+        assert not warm.stats.space_cache_hit
+        assert warm.stats.enum.candidates > 0
+        assert warm.stats.cache_hits == len(cold)
+        assert warm.stats.evaluated == 0
+        assert _point_keys(engine, statement, warm.points) == cold_keys
+        assert self._space_entry_value(path, key) == entry
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda e: e[0][2].pop(), id="wrong-tensor-count"),
+            pytest.param(lambda e: e[0].__setitem__(2, "key"), id="string-key"),
+            pytest.param(
+                lambda e: next(t for t in e[0][2] if t[2])[2][0].__setitem__(0, 1.0),
+                id="float-component",
+            ),
+            pytest.param(
+                lambda e: next(t for t in e[0][2] if t[2])[2][0].__setitem__(0, True),
+                id="bool-component",
+            ),
+            pytest.param(lambda e: e[-1].pop(), id="two-element-entry"),
+            pytest.param(lambda e: e[0].__setitem__(1, [[1, 0], [0, 1]]), id="bad-matrix"),
+            pytest.param(lambda e: e.append("design"), id="string-design"),
+        ],
+    )
+    def test_malformed_entry_is_a_miss(self, tmp_path, corrupt):
+        path = tmp_path / "memo.json"
+        statement, cold, cold_keys = self._cold(path)
+        key, entry = self._space_entry(path)
+        data = json.loads(path.read_text())
+        corrupt(data["spaces"][key])
+        path.write_text(json.dumps(data))
+
+        engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
+        warm = engine.evaluate(statement, per_selection_limit=4)
+        assert not warm.stats.space_cache_hit
+        assert warm.stats.evaluated == 0
+        assert [p.metrics() for p in warm.points] == [p.metrics() for p in cold.points]
+        assert _point_keys(engine, statement, warm.points) == cold_keys
+        assert self._space_entry_value(path, key) == entry  # overwritten
+
+    def test_non_canonical_space_carries_no_key(self, tmp_path, monkeypatch):
+        path = tmp_path / "memo.json"
+        statement, cold, cold_keys = self._cold(path, canonical=False)
+        _, entry = self._space_entry(path)
+        assert [design[2] for design in entry] == [None] * len(entry)
+        calls = _counting_signatures(monkeypatch)
+        engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
+        warm = engine.evaluate(statement, per_selection_limit=4, canonical=False)
+        assert warm.stats.space_cache_hit
+        assert len(calls) == warm.stats.enumerated == cold.stats.enumerated > 0
+        assert _point_keys(engine, statement, warm.points) == cold_keys
 
 
 class TestSweep:

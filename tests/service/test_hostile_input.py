@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import DesignRequest, LocalSession
+from repro.api.types import MAX_NAMES, MAX_RESOLVE_LIMIT
 from repro.perf.model import ArrayConfig
 from repro.service import ServiceThread
 from repro.service import wire
@@ -237,6 +238,94 @@ class TestBoundCap:
         for bound in (0, 3, "1", False):
             with pytest.raises(ValueError, match="bound"):
                 wire.engine_options({"options": {"bound": bound}})
+
+
+class TestResolveOptions:
+    """Name resolution refuses what the docs say it refuses: ``bound`` and
+    ``limit`` of wrong type or range, and oversized or wrong-typed
+    ``names``, with one validator behind ``/v1/evaluate`` (a resolve-stage
+    failure) and ``/v1/evaluate_names`` (a 400)."""
+
+    GEMM = {"workload": "gemm", "extents": {"m": 4, "n": 4, "k": 4}}
+    BAD_BOUNDS = [True, 1.9, "1", 0, 3, None]
+    BAD_LIMITS = [0, -3, True, 10**9, "abc", 1.5, "24", None]
+
+    def _evaluate(self, service, **options):
+        request = DesignRequest(dataflow="MNK-SST", options=options, **self.GEMM)
+        status, raw = _post(service, "/v1/evaluate", request.to_json().encode())
+        assert status == 200, raw
+        return json.loads(raw)
+
+    def _evaluate_names(self, service, **fields):
+        body = json.dumps(dict(self.GEMM, **fields)).encode()
+        status, raw = _post(service, "/v1/evaluate_names", body)
+        return status, json.loads(raw)
+
+    @pytest.mark.parametrize("resolve", ["simplest", "best"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bound", v) for v in BAD_BOUNDS] + [("limit", v) for v in BAD_LIMITS],
+    )
+    def test_evaluate_refuses_as_a_resolve_failure(self, service, field, value, resolve):
+        payload = self._evaluate(service, resolve=resolve, **{field: value})
+        assert payload["ok"] is False
+        assert payload["failure_stage"] == "resolve"
+        assert field in payload["failure_reason"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bound", v) for v in BAD_BOUNDS] + [("limit", v) for v in BAD_LIMITS],
+    )
+    def test_evaluate_names_refuses_with_400(self, service, field, value):
+        status, payload = self._evaluate_names(service, names=["MNK-SST"], **{field: value})
+        assert status == 400
+        assert payload["error_type"] == "ValueError"
+        assert field in payload["error"]
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ["MNK-SST"] * (MAX_NAMES + 1),
+            "MNK-SST",
+            {"MNK-SST": 1},
+            [["MNK-SST"]],
+            ["MNK-SST", 7],
+            None,
+        ],
+    )
+    def test_evaluate_names_refuses_bad_names_with_400(self, service, names):
+        status, payload = self._evaluate_names(service, names=names)
+        assert status == 400
+        assert payload["error_type"] == "ValueError"
+        assert "names" in payload["error"]
+
+    @pytest.mark.parametrize("limit", [1, MAX_RESOLVE_LIMIT])
+    def test_valid_limits_still_answer(self, service, limit):
+        payload = self._evaluate(service, resolve="best", bound=1, limit=limit)
+        assert payload["ok"] is True, payload
+        status, payload = self._evaluate_names(
+            service, names=["MNK-SST"], bound=1, limit=limit
+        )
+        assert status == 200, payload
+        assert [name for name, _ in payload["results"]] == ["MNK-SST"]
+
+    def test_no_names_is_an_empty_answer(self, service):
+        assert self._evaluate_names(service) == (200, {"results": []})
+
+    def test_validator_unit_contract(self):
+        from repro.api.types import check_resolve_options
+
+        check_resolve_options(bound=2, limit=MAX_RESOLVE_LIMIT)
+        check_resolve_options(bound=1, limit=1, names=["MNK-SST"] * MAX_NAMES)
+        check_resolve_options(bound=1, limit=24, names=[])
+        for bound in self.BAD_BOUNDS:
+            with pytest.raises(ValueError, match="bound"):
+                check_resolve_options(bound=bound, limit=24)
+        for limit in self.BAD_LIMITS + [MAX_RESOLVE_LIMIT + 1]:
+            with pytest.raises(ValueError, match="limit"):
+                check_resolve_options(bound=1, limit=limit)
+        with pytest.raises(ValueError, match="names"):
+            check_resolve_options(bound=1, limit=24, names=["x"] * (MAX_NAMES + 1))
 
 
 class TestArrayLimits:
