@@ -8,9 +8,8 @@ workload x config sweep four ways —
 
 - **local**: ``LocalSession.sweep()`` in-process (the reference fold);
 - **1 server**: a :class:`CoordinatedSession` over one live service;
-- **2 servers**: the same coordinator over a *weighted* two-server fleet
-  (one server advertises a process pool via healthz ``workers``), shards
-  split between them via the job API;
+- **2 servers**: the same coordinator over a two-server fleet, shards split
+  between them via the job API;
 - **2 servers, shard_size=2**: same fleet with sweep items grouped two per
   job —
 
@@ -18,8 +17,8 @@ and reports wall-clock per transport plus the coordinator's shard report.
 The asserted bars are correctness, not speed (two servers on one CI box
 share the same cores):
 
-- every fold is bit-identical to the local sweep — shard placement,
-  capacity weighting and ``shard_size`` grouping included;
+- every fold is bit-identical to the local sweep — shard placement and
+  ``shard_size`` grouping included;
 - the two-server run actually distributed (both servers completed shards);
 - the coordinator's folded memo cache warms a *local* session to zero
   evaluations — the distributed sweep's cache is as good as a local one.
@@ -130,9 +129,7 @@ def test_coordinated_sweep_matches_local(benchmark, tmp_path):
     )
     points = sum(len(r) + len(r.failures) for r in local)
 
-    # node_a advertises a 2-process pool: the coordinator's probe weights its
-    # inflight up to 2 while node_b (serial) keeps the max_inflight baseline
-    with ServiceThread(LocalSession(ARRAY, workers=2, cache=MemoCache())) as node_a:
+    with ServiceThread(LocalSession(ARRAY, cache=MemoCache())) as node_a:
         with ServiceThread(LocalSession(ARRAY, cache=MemoCache())) as node_b:
             single = CoordinatedSession([node_a.url], array=ARRAY)
             fold_cache = tmp_path / "fold.json"
@@ -163,7 +160,6 @@ def test_coordinated_sweep_matches_local(benchmark, tmp_path):
             )
             report = fleet.coordinator.last_report
             grouped_report = grouped.coordinator.last_report
-            capacities = [s.capacity for s in fleet.coordinator.servers]
             completed = [s.completed for s in fleet.coordinator.servers]
             single.close()
             fleet.close()
@@ -180,10 +176,7 @@ def test_coordinated_sweep_matches_local(benchmark, tmp_path):
             ["x2 shard_size=2", f"{wide_s:.2f}", f"{points / wide_s:.0f}"],
         ],
     )
-    print(
-        f"  two-server report: {report}, shards per server: {completed}, "
-        f"weighted capacities: {capacities}"
-    )
+    print(f"  two-server report: {report}, shards per server: {completed}")
     print(f"  grouped report: {grouped_report}")
 
     # correctness bars: distribution must be invisible in the results
@@ -192,8 +185,6 @@ def test_coordinated_sweep_matches_local(benchmark, tmp_path):
     assert _digest(wide) == _digest(local)
     assert report["shards"] == len(WORKLOADS) * len(CONFIGS)
     assert all(done > 0 for done in completed), "a server sat idle"
-    # the probe picked up node_a's advertised pool (weighted sharding)
-    assert capacities[0] == 2 and capacities[1] == 1
     # shard_size=2 really grouped: one job per config, half the submissions
     assert grouped_report["shards"] == len(CONFIGS)
     assert grouped_report["items"] == len(WORKLOADS) * len(CONFIGS)

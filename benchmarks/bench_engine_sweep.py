@@ -1,14 +1,10 @@
-"""Evaluation-session throughput: cold vs warm sweeps, serial vs parallel.
+"""Evaluation-session throughput: cold vs warm sweeps.
 
-The unified :class:`repro.api.Session` facade's scaling claims, measured on
+The unified :class:`repro.api.Session` facade's scaling claim, measured on
 the paper's headline sweep (every realizable GEMM dataflow on a 16x16 INT16
-array):
-
-- a warm on-disk memo cache makes a repeated ``Session.sweep()`` >= 5x
-  faster than the cold run (both enumeration and model evaluation are
-  memoized), and
-- process-pool evaluation (``workers=N``) returns bit-identical points in
-  the same order as the serial path.
+array): a warm on-disk memo cache makes a repeated ``Session.sweep()`` >= 5x
+faster than the cold run (both enumeration and model evaluation are
+memoized).
 
 Run:  pytest benchmarks/bench_engine_sweep.py
 """
@@ -62,22 +58,3 @@ def test_session_warm_cache_speedup(benchmark, tmp_path):
     # the acceptance bar: warm run at least 5x faster than cold
     assert speedup >= 5.0, f"warm cache speedup only {speedup:.1f}x"
 
-
-def test_session_parallel_matches_serial(benchmark):
-    session = Session(ArrayConfig(rows=16, cols=16), width=16, chunk_size=8)
-    gemm = workloads.gemm(256, 256, 256)
-    selections = [("m", "n", "k")]
-
-    serial = session.explore(gemm, selections=selections, workers=0)
-    parallel = benchmark.pedantic(
-        lambda: session.explore(gemm, selections=selections, workers=2),
-        rounds=1,
-        iterations=1,
-    )
-    assert [p.name for p in serial] == [p.name for p in parallel]
-    # bit-identical floats: pooled results travel by pickle, not text
-    assert [p.metrics() for p in serial] == [p.metrics() for p in parallel]
-    print(
-        f"\n  serial == parallel on {len(serial)} GEMM points "
-        f"({serial.stats.summary()})"
-    )

@@ -13,7 +13,7 @@ from repro.perf.model import ArrayConfig
 
 
 def compute():
-    session = bench_session(workers=0)
+    session = bench_session()
     assert session.array == ArrayConfig(rows=16, cols=16)  # paper §VI-A platform
     gemm_result, dw_result = session.sweep(
         [workloads.gemm(1024, 1024, 1024)]

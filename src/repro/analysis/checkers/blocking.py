@@ -63,7 +63,7 @@ BLOCKING_EXACT = {
 #: executor thread can hold for seconds on a large cache.
 BLOCKING_TAILS = {
     "session.flush": "file I/O under the memo-cache lock",
-    "session.evaluate": "model evaluation (may fan out to the process pool)",
+    "session.evaluate": "model evaluation",
     "session.evaluate_many": "batch model evaluation",
     "session.evaluate_names": "model evaluation",
     "session.explore": "a full design-space sweep",

@@ -15,8 +15,8 @@ the coherent front door:
   session surface (``evaluate``/``evaluate_many``/``explore``/``sweep``/
   ``evaluate_names``/``cache_stats``/``flush``);
 - :class:`~repro.api.session.LocalSession` — the in-process implementation
-  owning backend selection, the shared memo cache, and the worker pool
-  (``Session`` remains as a compatible alias).  The HTTP implementation,
+  owning backend selection, the shared memo cache, and the design-space
+  engine (``Session`` remains as a compatible alias).  The HTTP implementation,
   :class:`~repro.service.client.RemoteSession`, lives in :mod:`repro.service`.
 
 Quickstart::

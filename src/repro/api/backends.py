@@ -281,9 +281,8 @@ class SimEvaluator:
         return _evaluating(run, self.backend, request)
 
 
-#: Backend name -> built-in evaluator class.  ``evaluate_many`` consults this
-#: to decide pool safety: only a name that *still* resolves to its built-in
-#: class may travel to a spawned worker (which re-imports a fresh registry).
+#: Backend name -> built-in evaluator class (what :func:`register_builtins`
+#: installs).
 BUILTIN_EVALUATORS = {
     cls.backend: cls
     for cls in (CostEvaluator, PerfEvaluator, FpgaEvaluator, SimEvaluator)

@@ -3,9 +3,8 @@
 :class:`SessionProtocol` is the public evaluation surface extracted from the
 original ``Session`` facade, so that *where* evaluation happens is an
 implementation detail: :class:`~repro.api.session.LocalSession` runs the
-backends in-process (with an optional worker pool),
-:class:`~repro.service.client.RemoteSession` speaks the same protocol over
-HTTP/JSON to a ``repro serve`` process.  Every consumer — the CLI, the
+backends in-process, :class:`~repro.service.client.RemoteSession` speaks
+the same protocol over HTTP/JSON to a ``repro serve`` process.  Every consumer — the CLI, the
 examples, the benchmarks — is written against the protocol and runs
 unmodified over either.
 
@@ -15,7 +14,7 @@ remote implementation possible without a second wire format):
 - :meth:`~SessionProtocol.evaluate` — one design, any backend, memoized;
 - :meth:`~SessionProtocol.evaluate_many` — the batch primitive: a list of
   :class:`~repro.api.types.DesignRequest` evaluated with per-request memo
-  hits, misses routed through the process pool;
+  hits, each distinct miss evaluated once;
 - :meth:`~SessionProtocol.explore` / :meth:`~SessionProtocol.sweep` — the
   design-space pipeline (enumerate -> prune -> evaluate);
 - :meth:`~SessionProtocol.evaluate_names` — paper dataflow names, best STT

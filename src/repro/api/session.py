@@ -8,10 +8,14 @@ A session owns the three things every consumer used to wire up by hand:
   shared by single-design requests (``api`` section, keying *every* backend
   including FPGA Table III and the functional simulator) and by the
   design-space engine (``points``/``spaces``/``names`` sections);
-- **the worker pool** — ``explore()``/``sweep()`` delegate to one lazily
-  built :class:`~repro.explore.engine.EvaluationEngine` configured with the
-  session's process-pool settings, and ``evaluate_many()`` batches *any*
-  backend mix over the same pool settings.
+- **the engine** — ``explore()``/``sweep()`` delegate to one lazily built
+  :class:`~repro.explore.engine.EvaluationEngine` on the session's platform,
+  and ``evaluate_many()`` batches *any* backend mix behind one memo probe.
+
+A session evaluates in its own process, one design at a time.  A sweep that
+should use more cores shards across several ``repro serve`` processes
+instead, through ``repro sweep --url ...`` or
+:class:`~repro.service.CoordinatedSession`.
 
 ``Session`` remains as a compatible alias of :class:`LocalSession`; code that
 should be location-transparent takes a
@@ -48,43 +52,19 @@ from repro.perf.model import ArrayConfig, PerfModel
 
 __all__ = ["LocalSession", "Session"]
 
-def _pool_safe(request: DesignRequest) -> bool:
-    """May this request travel to a process-pool worker?
-
-    A spawned worker re-imports a *fresh* registry holding only the
-    built-ins, so a request is pool-safe only when its backend name still
-    resolves to the built-in evaluator class here — a backend registered (or
-    a built-in *overridden*) at runtime must stay on the in-process path or
-    the worker would silently answer with the wrong evaluator.
-    """
-    from repro.api.backends import BUILTIN_EVALUATORS
-
-    builtin = BUILTIN_EVALUATORS.get(request.backend)
-    return builtin is not None and type(get_evaluator(request.backend)) is builtin
-
-
-def _evaluate_request_chunk(payloads: list[dict]) -> list[dict]:
-    """Pool worker: evaluate a chunk of serialized requests, in order.
-
-    Wire format in *and* out (``DesignRequest``/``EvalResult`` dicts): the
-    payloads are already canonical JSON-safe structures, so pooled results
-    are byte-identical to in-process ones after ``from_dict``.
-    """
-    results = []
-    for payload in payloads:
-        request = DesignRequest.from_dict(payload)
-        results.append(get_evaluator(request.backend).evaluate(request).to_dict())
-    return results
-
 
 class LocalSession(SessionBase):
-    """One configured in-process evaluation context: array + cache + pool.
+    """One configured in-process evaluation context: array + cache.
 
     Parameters mirror :class:`~repro.explore.engine.EvaluationEngine` —
     ``array``/``width``/``cost_params``/``sram_words`` describe the platform,
-    ``workers``/``chunk_size`` the process pool, ``cache`` the memo cache
-    (a :class:`MemoCache`, a JSON path, or ``None`` to disable memoization).
-    ``perf``/``cost`` accept pre-built custom models for the engine paths.
+    ``cache`` the memo cache (a :class:`MemoCache`, a JSON path, or ``None``
+    to disable memoization).  ``perf``/``cost`` accept pre-built custom
+    models for the engine paths.
+
+    ``workers`` accepts only ``0`` or ``1``, both meaning the serial
+    evaluation every session does; any other value raises ``ValueError``.
+    It stays so callers that still pass ``workers=0`` keep working.
 
     ``autoflush`` (default ``True``) persists the on-disk cache after every
     :meth:`evaluate` — right for one-shot/CLI use.  Tight evaluation loops
@@ -103,17 +83,20 @@ class LocalSession(SessionBase):
         perf: PerfModel | None = None,
         cost: CostModel | None = None,
         workers: int = 0,
-        chunk_size: int = 32,
         cache: MemoCache | str | os.PathLike | None = None,
         autoflush: bool = True,
     ):
+        if workers not in (0, 1):
+            raise ValueError(
+                f"workers={workers!r}: a session evaluates serially (0 or 1); "
+                "for more cores run several `repro serve` processes and sweep "
+                "them with `repro sweep --url ...` or CoordinatedSession"
+            )
         if perf is not None and array is None:
             array = perf.config
         super().__init__(
             array, width=width, cost_params=cost_params, sram_words=sram_words
         )
-        self.workers = workers
-        self.chunk_size = chunk_size
         if isinstance(cache, (str, os.PathLike)):
             cache = MemoCache(cache)
         self.cache = cache
@@ -144,8 +127,6 @@ class LocalSession(SessionBase):
                 sram_words=self.sram_words,
                 perf=self._perf_override,
                 cost=self._cost_override,
-                workers=self.workers,
-                chunk_size=self.chunk_size,
                 cache=self.cache,
                 autoflush=self.autoflush,
             )
@@ -185,24 +166,17 @@ class LocalSession(SessionBase):
         return result
 
     def evaluate_many(
-        self,
-        requests: Sequence[DesignRequest | Mapping[str, Any]],
-        *,
-        workers: int | None = None,
+        self, requests: Sequence[DesignRequest | Mapping[str, Any]]
     ) -> list[EvalResult]:
         """Evaluate a batch of requests, any backend mix, one result each.
 
         The batch primitive behind the service's ``/v1/evaluate_many``: every
         request is first probed against the memo cache (a warm batch costs no
         model time at all), duplicate requests within the batch evaluate
-        once, and the remaining misses run through the engine's process-pool
-        settings (``workers``/``chunk_size``) — for *all* built-in backends,
-        cost/perf/fpga/sim alike, not just the engine paths.  Results come
-        back in request order; backends registered at runtime stay on the
-        in-process path (a spawned worker would not know them).
+        once, and the remaining misses run through their backends in request
+        order.  Results come back in request order.
         """
         reqs = self._coerce_requests(requests)
-        workers = self.workers if workers is None else workers
         results: list[EvalResult | None] = [None] * len(reqs)
 
         # memo probe + within-batch dedup: key -> list of result slots
@@ -220,34 +194,10 @@ class LocalSession(SessionBase):
                 pending[key] = [i]
                 pending_request[key] = request
 
-        pooled, inline = [], []
-        for key, request in pending_request.items():
-            (pooled if _pool_safe(request) else inline).append(key)
-        computed: dict[str, EvalResult] = {}
-
-        if workers > 1 and len(pooled) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            payloads = [pending_request[key].to_dict() for key in pooled]
-            chunks = [
-                payloads[i : i + self.chunk_size]
-                for i in range(0, len(payloads), self.chunk_size)
-            ]
-            max_workers = min(workers, len(chunks))
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                outcomes: list[dict] = []
-                for chunk_results in pool.map(_evaluate_request_chunk, chunks):
-                    outcomes.extend(chunk_results)
-            for key, payload in zip(pooled, outcomes):
-                computed[key] = EvalResult.from_dict(payload)
-        else:
-            inline = pooled + inline
-
-        for key in inline:
-            computed[key] = get_evaluator(pending_request[key].backend).evaluate(
-                pending_request[key]
-            )
-
+        computed = {
+            key: get_evaluator(request.backend).evaluate(request)
+            for key, request in pending_request.items()
+        }
         for key, result in computed.items():
             self._memo_put(key, result)
             slots = pending[key]
@@ -307,7 +257,7 @@ class LocalSession(SessionBase):
         overrides the session's platform for this run (sharing the memo
         cache); other keyword arguments pass through to
         :meth:`EvaluationEngine.evaluate` (``selections``, ``one_d_only``,
-        ``predicates``, ``workers`` ...).
+        ``predicates`` ...).
         """
         if isinstance(workload, str):
             statement = workload_lib.by_name(workload, **(extents or {}))
@@ -347,8 +297,7 @@ class LocalSession(SessionBase):
         cached = "none" if self.cache is None else f"{len(self.cache)} entries"
         return (
             f"{type(self).__name__}({self.array.rows}x{self.array.cols} @ "
-            f"{self.array.freq_mhz:g} MHz, width={self.width}, "
-            f"workers={self.workers}, cache={cached})"
+            f"{self.array.freq_mhz:g} MHz, width={self.width}, cache={cached})"
         )
 
 

@@ -12,12 +12,12 @@ Examples::
     python -m repro.cli generate gemm MNK-SST --rows 4 --cols 4 -o gemm.v
     python -m repro.cli verify conv2d KCX-SST --rows 4 --cols 4 --cache memo.json
     python -m repro.cli evaluate gemm MNK-MTM --rows 16 --cols 16
-    python -m repro.cli explore gemm depthwise_conv --workers 4 --cache dse.json
+    python -m repro.cli explore gemm depthwise_conv --cache dse.json
     python -m repro.cli cache merge -o merged.json shard0.json shard1.json
     python -m repro.cli cache stats merged.json
 
     # the evaluation service
-    python -m repro.cli serve --host 0.0.0.0 --port 8321 --workers 4 --cache memo.json
+    python -m repro.cli serve --host 0.0.0.0 --port 8321 --cache memo.json
     python -m repro.cli client evaluate gemm MNK-MTM --url http://host:8321
     python -m repro.cli client explore gemm --rows 16 --cols 16 --url http://host:8321
     python -m repro.cli client stats --url http://host:8321
@@ -99,8 +99,6 @@ def _session(args, **kwargs):
     if url:
         from repro.service import RemoteSession
 
-        # pool size and cache are server-side concerns for a remote session
-        kwargs.pop("workers", None)
         return RemoteSession(url, array=array, **kwargs)
     from repro.api import LocalSession
 
@@ -168,7 +166,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_enumerate(args) -> int:
     from repro.core.enumerate import enumerate_designs
-    from repro.explore.dse import ONE_D_TYPES
+    from repro.explore.engine import ONE_D_TYPES
 
     stmt = _statement(args)
     space = enumerate_designs(
@@ -235,7 +233,7 @@ def cmd_explore(args) -> int:
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    session = _session(args, width=args.width, workers=getattr(args, "workers", 0))
+    session = _session(args, width=args.width)
     results = session.sweep(statements, one_d_only=args.one_d)
     _print_sweep_results(results, args.top)
     return 0
@@ -432,16 +430,16 @@ def cmd_serve(args) -> int:
     from repro.api import SCHEMA_VERSION, LocalSession, available_backends
     from repro.service import EvaluationService
 
-    session = LocalSession(
-        ArrayConfig(rows=args.rows, cols=args.cols),
-        width=args.width,
-        workers=args.workers,
-        cache=args.cache,
-        # the service flushes on shutdown and on /v1/cache/flush; rewriting
-        # the file after every request would throttle the whole server
-        autoflush=False,
-    )
     try:
+        session = LocalSession(
+            ArrayConfig(rows=args.rows, cols=args.cols),
+            width=args.width,
+            workers=args.workers,
+            cache=args.cache,
+            # the service flushes on shutdown and on /v1/cache/flush; rewriting
+            # the file after every request would throttle the whole server
+            autoflush=False,
+        )
         service = EvaluationService(
             session,
             max_queued_jobs=args.max_jobs,
@@ -666,9 +664,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_explore_args(p_exp)
     p_exp.add_argument(
-        "--workers", type=int, default=0, help="process-pool evaluation (0 = serial)"
-    )
-    p_exp.add_argument(
         "--cache", metavar="PATH", help="on-disk JSON memo cache for warm re-runs"
     )
     p_exp.set_defaults(func=cmd_explore)
@@ -695,8 +690,8 @@ def main(argv: list[str] | None = None) -> int:
         "--max-inflight",
         type=int,
         default=2,
-        help="baseline shard jobs in flight per server (default 2; servers "
-        "advertising --workers via healthz are weighted up to that many)",
+        help="shard jobs in flight per server (default 2; clamped by each "
+        "server's --max-jobs)",
     )
     p_sweep.add_argument(
         "--shard-size",
@@ -754,7 +749,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--width", type=int, default=16)
     p_serve.add_argument(
         "--workers", type=int, default=0,
-        help="process-pool size for batch/design-space evaluation (0 = serial)",
+        help="accepted as 0 or 1 only: a server evaluates serially; run one "
+        "server per core behind `repro sweep` instead",
     )
     p_serve.add_argument(
         "--cache", metavar="PATH", help="server-side JSON memo cache (shared by all clients)"

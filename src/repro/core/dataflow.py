@@ -307,8 +307,8 @@ class DataflowSpec:
         consumer folding streamed rows by their scalar metrics ever touches —
         deferring it keeps wire reconstruction O(parse).  Local evaluation
         reads ``flows`` immediately, so it pays the same cost as before.
-        The benign race under pooled evaluation recomputes an identical
-        tuple; no lock needed.
+        Two evaluation-service executor threads racing on one spec
+        recompute an identical tuple; no lock needed.
         """
         flows = self._flows
         if flows is None:

@@ -4,16 +4,16 @@ The productivity claim of the paper is that generation is cheap enough to
 sweep the whole dataflow space; this package packages that loop as a
 streaming pipeline.  :class:`repro.explore.engine.EvaluationEngine` owns the
 full flow — lazy enumeration (:mod:`repro.core.enumerate`), composable
-pruning, serial or process-pool evaluation through the performance and cost
-models with a two-level memo cache, structured failure reporting, and
-multi-workload sweeps — while :func:`repro.explore.dse.explore` remains the
-simple one-call facade and :func:`repro.explore.pareto.pareto_front`
-extracts the interesting frontier.
+pruning, serial evaluation through the performance and cost models with a
+two-level memo cache, structured failure reporting, and multi-workload
+sweeps — while :meth:`repro.api.LocalSession.explore` is the one-call front
+door and :func:`repro.explore.pareto.pareto_front` extracts the interesting
+frontier.
 """
 
-from repro.explore.dse import DesignPoint, explore
 from repro.explore.engine import (
     DesignFailure,
+    DesignPoint,
     EvaluationEngine,
     EvaluationResult,
     EvaluationStats,
@@ -28,6 +28,5 @@ __all__ = [
     "EvaluationResult",
     "EvaluationStats",
     "MemoCache",
-    "explore",
     "pareto_front",
 ]

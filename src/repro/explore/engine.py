@@ -1,9 +1,9 @@
 """Unified streaming evaluation engine for design-space exploration.
 
 This module owns the full **enumerate -> prune -> evaluate -> Pareto**
-pipeline that every consumer (the legacy :func:`repro.explore.dse.explore`
-wrapper, the ``repro.cli explore`` subcommand, the examples and the paper
-benchmarks) runs through:
+pipeline that every consumer (:class:`repro.api.LocalSession`, the
+``repro.cli explore`` subcommand, the evaluation service, the examples and
+the paper benchmarks) runs through:
 
 1. **Enumerate** — :func:`repro.core.enumerate.iter_designs` streams the STT
    space lazily; the space is never materialized up front.
@@ -12,11 +12,13 @@ benchmarks) runs through:
    and composable user predicates drop candidates in-stream, with every
    rejection reason tallied.
 3. **Evaluate** — each surviving design runs through the performance and cost
-   models, either serially or on a process pool (``workers=N``) in
-   deterministically-ordered chunks; results are bit-identical either way.
-   A two-level memo cache (in-memory dict + optional on-disk JSON) keyed by
+   models in enumeration order, one at a time.  A two-level memo cache
+   (in-memory dict + optional on-disk JSON) keyed by
    ``(canonical_signature, array_config, cost_params)`` skips re-evaluation
    across repeated sweeps, and a *space* cache skips re-enumeration entirely.
+   (A multi-core sweep shards across ``repro serve`` processes through
+   :class:`repro.service.SweepCoordinator`, whose folds are bit-identical to
+   a local one.)
 4. **Report** — designs that fail a model are not swallowed: each becomes a
    :class:`DesignPoint` carrying a structured :class:`DesignFailure`, counted
    in :class:`EvaluationStats` and returned alongside the successes.
@@ -31,9 +33,6 @@ import dataclasses
 import json
 import os
 import threading
-import warnings
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -96,10 +95,9 @@ class DesignPoint:
     designs are first-class results, not silently dropped.
 
     ``seq`` is the point's 1-based position in the run's emission order
-    (enumeration order, identical for serial and pooled evaluation).  It is
-    the engine-level identity behind the service's incremental row cursors:
-    a consumer that saw rows up to ``seq=N`` can resume at ``N`` and miss
-    nothing.  ``None`` only for points built outside a pipeline run.
+    (enumeration order).  It is the engine-level identity behind the
+    service's incremental row cursors: a consumer that saw rows up to
+    ``seq=N`` can resume at ``N`` and miss nothing.  ``None`` only for points built outside a pipeline run.
     """
 
     spec: DataflowSpec
@@ -242,8 +240,8 @@ class MemoCache:
 
     All accessors are guarded by one re-entrant lock, so a cache shared by
     the evaluation service's concurrent request handlers (threads) stays
-    consistent; the engine's *process* pools never share a cache object, so
-    the lock is uncontended in classic sweeps.
+    consistent; an in-process sweep has one thread, so there the lock is
+    uncontended.
     """
 
     _SECTIONS = ("points", "spaces", "names", "api")
@@ -450,15 +448,13 @@ def _replayed_specs(statement: Statement, stored: object) -> list[DataflowSpec] 
 
 
 # ----------------------------------------------------------------------
-# Worker functions (module-level so the process pool can pickle them)
+# Evaluation
 # ----------------------------------------------------------------------
 def _evaluate_one(spec: DataflowSpec, perf: PerfModel, cost: CostModel) -> tuple:
-    """Evaluate one design, returning a transport-friendly outcome tuple.
+    """Evaluate one design, returning the outcome tuple the memo cache stores.
 
     ``("ok", perf, cycles, area, power)`` on success or
-    ``("fail", stage, reason)`` when a model rejects the design.  Floats
-    travel through pickle unchanged, so pooled results are bit-identical to
-    serial ones.
+    ``("fail", stage, reason)`` when a model rejects the design.
     """
     try:
         pr = perf.evaluate(spec)
@@ -469,11 +465,6 @@ def _evaluate_one(spec: DataflowSpec, perf: PerfModel, cost: CostModel) -> tuple
     except (ValueError, NotImplementedError) as exc:
         return ("fail", "cost", f"{type(exc).__name__}: {exc}")
     return ("ok", pr.normalized, pr.cycles, cr.area_mm2, cr.power_mw)
-
-
-def _evaluate_chunk(payload: tuple) -> list[tuple]:
-    specs, perf, cost = payload
-    return [_evaluate_one(spec, perf, cost) for spec in specs]
 
 
 # ----------------------------------------------------------------------
@@ -492,11 +483,6 @@ class EvaluationEngine:
         Cost-model calibration knobs.
     perf / cost:
         Pre-built models (override ``array``/``width`` when given).
-    workers:
-        ``0``/``1`` evaluates serially; ``N > 1`` uses a process pool with
-        deterministically-ordered chunks.  Results are bit-identical.
-    chunk_size:
-        Designs per pool task (amortizes pickling overhead).
     cache:
         A :class:`MemoCache`, a filesystem path for an on-disk JSON cache, or
         ``None`` to disable memoization.
@@ -516,8 +502,6 @@ class EvaluationEngine:
         sram_words: int = 32768,
         perf: PerfModel | None = None,
         cost: CostModel | None = None,
-        workers: int = 0,
-        chunk_size: int = 32,
         cache: MemoCache | str | os.PathLike | None = None,
         autoflush: bool = True,
     ):
@@ -529,12 +513,6 @@ class EvaluationEngine:
         self.cost = cost or CostModel.for_array(
             self.array, width=width, params=cost_params, sram_words=sram_words
         )
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.workers = workers
-        self.chunk_size = chunk_size
         if isinstance(cache, (str, os.PathLike)):
             cache = MemoCache(cache)
         self.cache = cache
@@ -671,7 +649,7 @@ class EvaluationEngine:
     # -- stage 3: evaluation --------------------------------------------
     @staticmethod
     def _point_from_outcome(spec: DataflowSpec, outcome: tuple) -> DesignPoint:
-        """Build the :class:`DesignPoint` for one worker-outcome tuple."""
+        """Build the :class:`DesignPoint` for one :func:`_evaluate_one` outcome."""
         if outcome[0] == "ok":
             _, perf_n, cycles, area, power = outcome
             return DesignPoint(
@@ -713,8 +691,6 @@ class EvaluationEngine:
         *,
         specs: Iterable[DataflowSpec] | None = None,
         stats: EvaluationStats | None = None,
-        workers: int | None = None,
-        pool: ProcessPoolExecutor | None = None,
         seq_start: int = 0,
         **space_kwargs,
     ) -> Iterator[DesignPoint]:
@@ -728,38 +704,28 @@ class EvaluationEngine:
         after the whole space finishes.  Failures are yielded inline as
         points carrying a :class:`DesignFailure`.
 
-        ``workers > 1`` evaluates cache misses on a process pool in chunked,
-        deterministically-ordered batches (``pool`` lends an existing
-        executor); the yielded sequence is bit-identical to the serial one,
-        arriving in chunk-sized bursts instead of point by point.  Every
-        yielded point carries ``seq`` — its 1-based emission index offset by
-        ``seq_start`` — which is what the service's incremental job-row
-        cursors are built on.  Pass a shared ``stats`` to observe the run's
-        counters; the cache is flushed when the generator is exhausted or
-        closed.
+        Every yielded point carries ``seq`` — its 1-based emission index
+        offset by ``seq_start`` — which is what the service's incremental
+        job-row cursors are built on.  Pass a shared ``stats`` to observe the
+        run's counters; the cache is flushed when the generator is exhausted
+        or closed, and a stream closed early records no space.
         """
         stats = stats if stats is not None else EvaluationStats()
-        workers = self.workers if workers is None else workers
         source: Iterable[DataflowSpec]
         if specs is not None:
             source = specs
         else:
             source = self.iter_space(statement, stats=stats, **space_kwargs)
-
         prefix = self._key_prefix(statement)
-
-        def lookup(spec: DataflowSpec):
-            return self._lookup(prefix, spec, stats)
-
-        if workers <= 1:
-            outcomes = self._iter_serial(source, lookup, stats)
-        else:
-            outcomes = self._iter_parallel(source, workers, lookup, stats, pool=pool)
         seq = seq_start
         try:
-            for spec, outcome, key in outcomes:
-                if key is not None:
-                    self.cache.put("points", key, list(outcome))
+            for spec in source:
+                outcome, key = self._lookup(prefix, spec, stats)
+                if outcome is None:
+                    outcome = _evaluate_one(spec, self.perf, self.cost)
+                    stats.evaluated += 1
+                    if key is not None:
+                        self.cache.put("points", key, list(outcome))
                 point = self._point_from_outcome(spec, outcome)
                 if not point.ok:
                     stats.skipped += 1
@@ -767,8 +733,6 @@ class EvaluationEngine:
                 point.seq = seq
                 yield point
         finally:
-            # an abandoned stream must still shut down a pool it owns
-            outcomes.close()
             self._flush()
 
     def evaluate(
@@ -783,16 +747,11 @@ class EvaluationEngine:
         per_selection_limit: int | None = None,
         realizable_only: bool = True,
         canonical: bool = True,
-        workers: int | None = None,
-        pool: ProcessPoolExecutor | None = None,
     ) -> EvaluationResult:
         """Run the full pipeline for one workload: a fold over :meth:`stream`.
 
         ``specs`` bypasses enumeration (evaluate an explicit design list).
-        Points come back in enumeration order regardless of ``workers``.
-        ``pool`` lends an existing executor for the parallel path — the
-        caller keeps ownership (``sweep()`` shares one pool across all of its
-        runs instead of forking a fresh pool per workload).
+        Points come back in enumeration order.
         """
         stats = EvaluationStats()
         points: list[DesignPoint] = []
@@ -801,8 +760,6 @@ class EvaluationEngine:
             statement,
             specs=specs,
             stats=stats,
-            workers=workers,
-            pool=pool,
             one_d_only=one_d_only,
             selections=selections,
             predicates=predicates,
@@ -819,79 +776,6 @@ class EvaluationEngine:
             failures=failures,
             stats=stats,
         )
-
-    def _iter_serial(self, stream, lookup, stats) -> Iterator[tuple]:
-        """In-process evaluation, one design at a time, enumeration order.
-
-        Yields the same ``(spec, outcome, cache-put-key-or-None)`` triples
-        as :meth:`_iter_parallel`.
-        """
-        for spec in stream:
-            outcome, key = lookup(spec)
-            if outcome is None:
-                outcome = _evaluate_one(spec, self.perf, self.cost)
-                stats.evaluated += 1
-            yield spec, outcome, key
-
-    def _iter_parallel(
-        self, stream, workers, lookup, stats, pool: ProcessPoolExecutor | None = None
-    ) -> Iterator[tuple]:
-        """Pool evaluation with bounded in-flight chunks, enumeration order.
-
-        Yields ``(spec, outcome, cache-put-key-or-None)`` triples.  Cache
-        misses batch into ``chunk_size`` pool tasks as the stream is
-        consumed; at most ``2 * workers`` chunks are in flight, and chunks
-        drain FIFO, so memory stays bounded and emission order (hence the
-        result lists) is bit-identical to the serial path.  A borrowed
-        ``pool`` is used as-is and left running; otherwise a fresh pool is
-        created and torn down here.
-        """
-        max_inflight = 2 * workers
-        queue: deque = deque()  # (records, future-or-None)
-        buffer: list = []  # (spec, cached-outcome-or-None, cache-key)
-        misses: list[DataflowSpec] = []
-
-        def drain_one() -> Iterator[tuple]:
-            records, future = queue.popleft()
-            outcomes = iter(future.result()) if future is not None else iter(())
-            for spec, cached, key in records:
-                if cached is not None:
-                    yield spec, cached, None
-                else:
-                    stats.evaluated += 1
-                    yield spec, next(outcomes), key
-
-        owns_pool = pool is None
-        if owns_pool:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-
-            def flush_chunk() -> None:
-                nonlocal buffer, misses
-                future = (
-                    pool.submit(_evaluate_chunk, (misses, self.perf, self.cost))
-                    if misses
-                    else None
-                )
-                queue.append((buffer, future))
-                buffer, misses = [], []
-
-            for spec in stream:
-                outcome, key = lookup(spec)
-                buffer.append((spec, outcome, key))
-                if outcome is None:
-                    misses.append(spec)
-                    if len(misses) >= self.chunk_size:
-                        flush_chunk()
-                while len(queue) > max_inflight:
-                    yield from drain_one()
-            if buffer:
-                flush_chunk()
-            while queue:
-                yield from drain_one()
-        finally:
-            if owns_pool:
-                pool.shutdown()
 
     # -- named-dataflow evaluation (paper Fig. 5 benchmarks) -------------
     def resolve_name(
@@ -967,35 +851,18 @@ class EvaluationEngine:
         Workloads may be :class:`Statement` objects or Table II names
         (resolved via :func:`repro.ir.workloads.by_name`).  All runs share
         this engine's memo cache, so overlapping sweeps get warmer as they
-        go.  Results arrive in ``configs``-major order.
-
-        When ``workers > 1`` the whole sweep shares **one** process pool:
-        every per-workload run dispatches its miss chunks to the same
-        executor instead of forking (and tearing down) a fresh pool per
-        workload x config item — the same chunked-dispatch economics as
-        ``evaluate_many``, with results bit-identical to per-item
-        ``evaluate()`` calls.
+        go.  Results arrive in ``configs``-major order, the order
+        :class:`repro.service.SweepCoordinator` folds a sharded sweep into.
         """
         configs = list(configs) if configs is not None else [self.array]
         statements = [
             workload_lib.by_name(w) if isinstance(w, str) else w for w in workloads
         ]
-        workers = evaluate_kwargs.get("workers")
-        workers = self.workers if workers is None else workers
-        pool: ProcessPoolExecutor | None = None
-        if workers > 1 and len(configs) * len(statements) > 1:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            results: list[EvaluationResult] = []
-            for config in configs:
-                engine = self if config == self.array else self._sibling(config)
-                for statement in statements:
-                    results.append(
-                        engine.evaluate(statement, pool=pool, **evaluate_kwargs)
-                    )
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        results: list[EvaluationResult] = []
+        for config in configs:
+            engine = self if config == self.array else self._sibling(config)
+            for statement in statements:
+                results.append(engine.evaluate(statement, **evaluate_kwargs))
         return results
 
     def _sibling(self, config: ArrayConfig) -> "EvaluationEngine":
@@ -1014,18 +881,6 @@ class EvaluationEngine:
             width=self.cost.width,
             cost_params=self.cost.params,
             sram_words=self.cost.sram_words,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
             cache=self.cache,
             autoflush=self.autoflush,
-        )
-
-
-def explore_warning(result: EvaluationResult, *, stacklevel: int = 3) -> None:
-    """Emit the legacy-wrapper warning for skipped designs (if any)."""
-    if result.failures:
-        warnings.warn(
-            f"explore({result.workload}): {result.failure_report()}",
-            RuntimeWarning,
-            stacklevel=stacklevel,
         )

@@ -18,12 +18,12 @@ How a sweep runs
    overhead on fleets with many small workloads.
 2. **Dispatch** — the whole fleet is ``/v1/healthz``-probed *concurrently*
    (a hung server delays startup by one timeout, not N), then the sweep
-   runs event-driven on one asyncio loop: each server gets one worker lane
-   per unit of advertised capacity (healthz ``workers``, bounded by its
-   ``max_jobs`` queue; ``max_inflight`` otherwise), and each lane pulls the
-   next assignable shard and submits it as one ``POST /v1/jobs`` job with
-   ``stream_rows=True`` — so a big machine's queue stays fed while a
-   laptop is never swamped, and no lane ever waits on another server.
+   runs event-driven on one asyncio loop: each server gets ``max_inflight``
+   worker lanes (fewer when its healthz ``max_jobs`` queue is smaller), and
+   each lane pulls the next assignable shard and submits it as one
+   ``POST /v1/jobs`` job with ``stream_rows=True`` — so no lane ever waits
+   on another server.  Each server evaluates serially, so a machine with
+   more cores runs one server per core.
 3. **Stream + fold** — each inflight job's row log is *pushed* over its own
    ``GET /v1/jobs/<id>/rows`` long-poll (an :class:`~repro.service.client
    .AsyncRemoteSession` stream that auto-resumes with the last folded
@@ -256,13 +256,10 @@ class SweepCoordinator:
         poll overhead on fleets with many small workloads; folded results
         are bit-identical whatever the grouping.
     max_inflight:
-        Baseline jobs in flight per server (the rest queue
-        coordinator-side).  A server whose ``/v1/healthz`` advertises a
-        process pool (``workers > 1``) is weighted up to ``workers`` inflight
-        jobs instead, bounded by its ``max_jobs`` queue depth — capacity-aware
-        sharding: beefy servers stay fed, small ones are never swamped.
-        Each inflight unit is one concurrent worker lane on the sweep's
-        event loop, holding one job's row stream open end to end.
+        Jobs in flight per server (the rest queue coordinator-side),
+        clamped by the ``max_jobs`` queue depth the server's ``/v1/healthz``
+        advertises.  Each inflight unit is one concurrent worker lane on the
+        sweep's event loop, holding one job's row stream open end to end.
     max_retries:
         Reassignments per shard before the sweep raises.
     poll_interval:
@@ -683,18 +680,12 @@ class SweepCoordinator:
                         self._note_resume(server, shard, job_id, cursor)
                         continue
                     if verdict == "resubmit":
-                        new_id = await self._resubmit_job(server, shard, state)
+                        new_id = await self._resubmit_job(
+                            server, shard, job_id, cursor, state
+                        )
                         if new_id is not None:
                             resumes += 1
-                            self._emit(
-                                "job_vanished",
-                                server=server.url,
-                                job=job_id,
-                                shard=shard.describe(),
-                            )
                             job_id = new_id
-                            server.inflight[job_id] = shard
-                            self._note_resume(server, shard, job_id, cursor)
                             continue
                 self._lose_server(server, shard, state)
                 return
@@ -703,18 +694,12 @@ class SweepCoordinator:
                 # restarted (or pruned it)
                 server.inflight.pop(job_id, None)
                 if self._may_resume(resumes):
-                    new_id = await self._resubmit_job(server, shard, state)
+                    new_id = await self._resubmit_job(
+                        server, shard, job_id, cursor, state
+                    )
                     if new_id is not None:
                         resumes += 1
-                        self._emit(
-                            "job_vanished",
-                            server=server.url,
-                            job=job_id,
-                            shard=shard.describe(),
-                        )
                         job_id = new_id
-                        server.inflight[job_id] = shard
-                        self._note_resume(server, shard, job_id, cursor)
                         continue
                 # without a grace (or past the resume budget) the row cursor
                 # is void too: re-run from scratch
@@ -805,23 +790,35 @@ class SweepCoordinator:
             return "resume"
 
     async def _resubmit_job(
-        self, server: _Server, shard: _Shard, state: _SweepState
+        self,
+        server: _Server,
+        shard: _Shard,
+        job_id: str,
+        cursor: int,
+        state: _SweepState,
     ) -> str | None:
-        """Resubmit a vanished job under its *original* submit key.
+        """Resubmit vanished job ``job_id`` under its *original* submit key.
 
         Same sweep token, same shard, same attempt: a journal-rebuilt job
         dedups straight back to its old id, and a genuinely lost one is
         re-enqueued as a fresh job whose deterministic rows carry the same
-        seqs — either way the caller keeps its fold and cursor.  Returns the
-        job id, or ``None`` when the server cannot take the job (busy or
-        gone again), letting the caller fall back to the legacy forfeit.
+        seqs — either way the caller keeps its fold and resumes the stream
+        at ``cursor``.  On success the new job is in flight, a
+        ``job_vanished`` and a ``job_resumed`` event are out, and the resume
+        is counted; returns the new id.  Returns ``None`` when the server
+        cannot take the job (busy or gone again), letting the caller fall
+        back to the forfeit.
         """
         try:
-            return await self._submit(server, shard, state)
-        except ServiceBusyError:
+            new_id = await self._submit(server, shard, state)
+        except (ServiceBusyError, *_SERVER_LOST):
             return None
-        except _SERVER_LOST:
-            return None
+        self._emit(
+            "job_vanished", server=server.url, job=job_id, shard=shard.describe()
+        )
+        server.inflight[new_id] = shard
+        self._note_resume(server, shard, new_id, cursor)
+        return new_id
 
     async def _folder(self, state: _SweepState) -> None:
         """The single fold lane.
@@ -907,11 +904,9 @@ class SweepCoordinator:
     def _probe(self, server: _Server) -> None:
         """One-time capability check per sweep.
 
-        A server advertising a process pool (healthz ``workers``) gets a
-        *weighted* inflight bound — up to ``workers`` jobs in flight,
-        clamped by its ``max_jobs`` queue depth, so the coordinator's own
-        lanes never fill a queue — and per-server load follows advertised
-        capacity instead of blind round-robin."""
+        The server's inflight bound is ``max_inflight``, clamped by the
+        ``max_jobs`` queue depth its healthz advertises, so the
+        coordinator's own lanes never fill a queue."""
         if server.probed:
             return
         server.probed = True
@@ -922,9 +917,6 @@ class SweepCoordinator:
             return
         max_jobs = info.get("max_jobs")
         capacity = self.max_inflight
-        workers = info.get("workers")
-        if isinstance(workers, int) and workers > capacity:
-            capacity = workers
         if isinstance(max_jobs, int) and 0 < max_jobs < capacity:
             capacity = max_jobs
         server.capacity = max(1, capacity)

@@ -13,7 +13,7 @@ Endpoints (all under ``/v1``; the full request/response reference lives in
 
 =============================  ================================================
 ``GET  /v1/healthz``           liveness + ``schema_version`` negotiation +
-                               backends + capacity (``workers``/``max_jobs``)
+                               backends + job-queue bound (``max_jobs``)
 ``POST /v1/evaluate``          one ``DesignRequest`` -> one ``EvalResult``
 ``POST /v1/evaluate_many``     ``{"requests": [...]}`` -> ``{"results": [...]}``
 ``POST /v1/explore``           NDJSON stream: ``start``, then one ``point`` /
@@ -41,9 +41,9 @@ Endpoints (all under ``/v1``; the full request/response reference lives in
 
 Evaluations run on a thread executor so the event loop stays responsive;
 the session's :class:`~repro.explore.engine.MemoCache` is lock-guarded, so
-concurrent handlers share it safely.  Model evaluation itself may still fan
-out over the session's *process* pool — the service adds location
-transparency, not a second parallelism scheme.
+concurrent handlers share it safely.  Each evaluation runs serially in this
+process: a machine with more cores runs one server per core behind a
+:class:`~repro.service.coordinator.SweepCoordinator`.
 
 :class:`ServiceThread` runs the whole thing on a background thread with its
 own event loop — the embedding used by the tests, the benchmarks and the
@@ -609,9 +609,6 @@ class EvaluationService:
                     # the job-queue bound: coordinators clamp their
                     # per-server lanes by it, so they never fill the queue
                     "max_jobs": self.max_queued_jobs,
-                    # the session's process-pool size: capacity-aware sweep
-                    # coordinators weight per-server inflight by this
-                    "workers": max(0, getattr(self.session, "workers", 0)),
                 },
             )
         elif route == ("GET", "/v1/cache/stats"):
@@ -718,10 +715,7 @@ class EvaluationService:
         def produce() -> None:
             """Runs on an executor thread; backpressured by the queue."""
             try:
-                # workers=0: explore streams point-by-point for lowest
-                # first-row latency; pooled chunk streaming is the *job*
-                # path, where throughput matters more than latency
-                for point in engine.stream(statement, stats=stats, workers=0, **options):
+                for point in engine.stream(statement, stats=stats, **options):
                     asyncio.run_coroutine_threadsafe(
                         queue.put(("row", wire.point_to_row(point))), loop
                     ).result()
@@ -1108,11 +1102,11 @@ class EvaluationService:
 
         Each (config, workload) item streams through the session's engine —
         the same :meth:`~repro.explore.engine.EvaluationEngine.stream` path
-        as ``/v1/explore``, pooled when the session has ``workers`` — and,
-        when the job keeps rows, every design lands in :attr:`Job.rows` *as
-        it is evaluated*, tagged with its job-global ``seq`` cursor and its
-        ``item`` index.  That row log is what ``GET /v1/jobs/<id>?since=``
-        and the ``/rows`` long-poll serve incrementally while the job runs.
+        as ``/v1/explore`` — and, when the job keeps rows, every design lands
+        in :attr:`Job.rows` *as it is evaluated*, tagged with its job-global
+        ``seq`` cursor and its ``item`` index.  That row log is what
+        ``GET /v1/jobs/<id>?since=`` and the ``/rows`` long-poll serve
+        incrementally while the job runs.
 
         Cancellation is cooperative at *design* granularity: the flag is
         checked between evaluations — including once more after the last

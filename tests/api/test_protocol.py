@@ -139,21 +139,10 @@ class TestEvaluateMany:
         finally:
             reset_registry()
 
-    def test_pooled_matches_serial(self):
-        """workers>1 routes built-in backends through the process pool,
-        bit-identically to the serial path."""
-        serial_session = LocalSession(SMALL_ARRAY, workers=0)
-        requests = _mixed_requests(serial_session)
-        serial = serial_session.evaluate_many(requests)
-        pooled_session = LocalSession(SMALL_ARRAY, workers=2, chunk_size=3)
-        pooled = pooled_session.evaluate_many(requests)
-        assert [r.metrics for r in pooled] == [s.metrics for s in serial]
-        assert [r.details for r in pooled] == [s.details for s in serial]
-
     def test_overridden_builtin_stays_in_process(self):
-        """Overriding a built-in (override=True) must not be undone by the
-        pool: a spawned worker would resolve the name to the stock built-in,
-        so overridden backends ride the in-process path."""
+        """A built-in overridden at runtime (override=True) answers through
+        evaluate_many: the batch resolves each backend in the live registry
+        of this process, never a fresh copy holding only the stock class."""
         import os
 
         pids = []
@@ -172,7 +161,7 @@ class TestEvaluateMany:
 
         register_evaluator("cost", CalibratedCost, override=True)
         try:
-            session = LocalSession(SMALL_ARRAY, workers=2, chunk_size=1)
+            session = LocalSession(SMALL_ARRAY)
             requests = [
                 session.request("gemm", name, backend="cost", extents=SMALL)
                 for name in ("MNK-SST", "MNK-MTM", "MNK-STS")
@@ -180,14 +169,14 @@ class TestEvaluateMany:
             results = session.evaluate_many(requests)
             # the override answered (not the stock CostModel) ...
             assert [r["area_mm2"] for r in results] == [-1.0, -1.0, -1.0]
-            # ... and it ran here, never in a pool worker
+            # ... and it ran in this process
             assert set(pids) == {os.getpid()}
         finally:
             reset_registry()
 
     def test_runtime_backend_stays_in_process(self):
-        """A backend registered at runtime is unknown to spawned workers, so
-        it must ride the in-process path even when a pool is configured."""
+        """A backend registered at runtime answers through evaluate_many,
+        mixed in one batch with built-ins."""
 
         class Local:
             backend = "only-here"
@@ -201,7 +190,7 @@ class TestEvaluateMany:
 
         register_evaluator("only-here", Local)
         try:
-            session = LocalSession(SMALL_ARRAY, workers=2)
+            session = LocalSession(SMALL_ARRAY)
             requests = [
                 session.request("gemm", "MNK-SST", backend="only-here", extents=SMALL),
                 session.request("gemm", "MNK-SST", backend="perf", extents=SMALL),

@@ -450,28 +450,17 @@ class TestDelegation:
 
 
 class TestDeprecationShims:
-    def test_dse_explore_warns(self):
-        from repro.explore.dse import explore
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_workers_keyword_accepts_serial(self, workers):
+        """``workers`` survives only as the serial spelling (0 or 1)."""
+        session = LocalSession(SMALL_ARRAY, workers=workers)
+        assert session.evaluate("gemm", "MNK-SST", extents=SMALL).ok
 
-        gemm = workloads.gemm(64, 64, 64)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            pts = explore(gemm, rows=8, cols=8, selections=GEMM_SEL)
-        assert len(pts) > 20
-
-    def test_dse_explore_matches_session_results(self):
-        """The shim is a pass-through: identical points, identical order."""
-        from repro.explore.dse import explore
-
-        gemm = workloads.gemm(64, 64, 64)
-        with pytest.warns(DeprecationWarning):
-            shim_points = explore(gemm, rows=8, cols=8, selections=GEMM_SEL)
-        session_points = (
-            Session(ArrayConfig(rows=8, cols=8)).explore(gemm, selections=GEMM_SEL).points
-        )
-        assert [p.name for p in shim_points] == [p.name for p in session_points]
-        assert [p.metrics() for p in shim_points] == [
-            p.metrics() for p in session_points
-        ]
+    @pytest.mark.parametrize("workers", [2, -1])
+    def test_workers_keyword_refuses_parallel(self, workers):
+        """More cores go through the fleet, and the refusal says so."""
+        with pytest.raises(ValueError, match="repro serve"):
+            LocalSession(SMALL_ARRAY, workers=workers)
 
     def test_new_paths_do_not_warn(self):
         session = Session(ArrayConfig(rows=8, cols=8))

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.core.enumerate import EnumerationStats, enumerate_designs, iter_designs
-from repro.explore.dse import explore
 from repro.explore.engine import (
     ONE_D_TYPES,
     DesignFailure,
@@ -85,33 +84,6 @@ class TestStreamingEnumeration:
 
 
 class TestEngineEvaluate:
-    def test_points_match_legacy_explore(self, small_engine):
-        gemm = workloads.gemm(64, 64, 64)
-        result = small_engine.evaluate(gemm, selections=GEMM_SEL)
-        legacy = explore(gemm, rows=8, cols=8, selections=GEMM_SEL)
-        assert [p.name for p in result.points] == [p.name for p in legacy]
-        assert [p.metrics() for p in result.points] == [p.metrics() for p in legacy]
-
-    def test_serial_parallel_bit_identical(self):
-        engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), chunk_size=8)
-        gemm = workloads.gemm(64, 64, 64)
-        serial = engine.evaluate(gemm, selections=GEMM_SEL, workers=0)
-        parallel = engine.evaluate(gemm, selections=GEMM_SEL, workers=2)
-        assert len(serial) > 20
-        assert [p.name for p in serial] == [p.name for p in parallel]
-        assert [p.metrics() for p in serial] == [p.metrics() for p in parallel]
-
-    def test_serial_parallel_bit_identical_depthwise(self):
-        engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), chunk_size=8)
-        dw = workloads.depthwise_conv(k=8, y=8, x=8, p=3, q=3)
-        serial = engine.evaluate(
-            dw, selections=[("k", "y", "x")], one_d_only=True, workers=0
-        )
-        parallel = engine.evaluate(
-            dw, selections=[("k", "y", "x")], one_d_only=True, workers=2
-        )
-        assert [p.metrics() for p in serial] == [p.metrics() for p in parallel]
-
     def test_generator_selections_not_exhausted(self, tmp_path):
         """selections may be a generator; cache-key construction must not
         consume it before enumeration (regression: empty space poisoned the
@@ -172,23 +144,6 @@ class TestFailureChannel:
         assert not result.failures[0].ok
         assert "skipped" in result.failure_report()
 
-    def test_legacy_wrapper_warns_on_skips(self):
-        from repro.core import naming
-
-        gemm = workloads.gemm(64, 64, 64)
-        spec = naming.spec_from_name(gemm, "MNK-SST")
-        engine = self._failing_engine()
-        with pytest.warns(RuntimeWarning, match="skipped"):
-            pts = explore(
-                gemm, rows=8, cols=8, specs=[spec], perf=engine.perf
-            )
-        assert pts == []
-
-    def test_legacy_wrapper_silent_when_clean(self, recwarn):
-        gemm = workloads.gemm(64, 64, 64)
-        explore(gemm, rows=8, cols=8, selections=GEMM_SEL)
-        assert not [w for w in recwarn if w.category is RuntimeWarning]
-
 
 class TestMemoCache:
     def test_warm_run_hits_cache(self, tmp_path):
@@ -215,6 +170,19 @@ class TestMemoCache:
         data = json.loads(path.read_text())
         assert set(data) >= {"points", "spaces"}
         assert data["points"]
+
+    def test_stream_closed_early_flushes_points_not_space(self, tmp_path):
+        """An abandoned stream persists the points it evaluated but never
+        records its partial space as if it were the whole one."""
+        path = tmp_path / "memo.json"
+        engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
+        stream = engine.stream(workloads.gemm(64, 64, 64), selections=GEMM_SEL)
+        assert [next(stream).seq for _ in range(3)] == [1, 2, 3]
+        stream.close()
+        data = json.loads(path.read_text())
+        assert len(data["points"]) == 3
+        assert data["spaces"] == {}
+        assert engine.cache.stats()["spaces"] == 0
 
     def test_different_config_misses(self, tmp_path):
         path = tmp_path / "memo.json"
@@ -505,38 +473,6 @@ class TestSweep:
                 configs=[ArrayConfig(rows=8, cols=8), ArrayConfig(rows=4, cols=4)],
                 selections=GEMM_SEL,
             )
-
-    def test_sweep_shares_one_pool_across_items(self, monkeypatch):
-        """Regression: a parallel sweep must reuse one process pool for every
-        workload x config item (it used to fork a fresh pool per item) while
-        returning results identical to per-item evaluate() calls."""
-        import repro.explore.engine as engine_mod
-
-        real_pool = engine_mod.ProcessPoolExecutor
-        constructed = []
-
-        class CountingPool(real_pool):
-            def __init__(self, *args, **kwargs):
-                constructed.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", CountingPool)
-        gemm = workloads.gemm(64, 64, 64)
-        configs = [ArrayConfig(rows=8, cols=8), ArrayConfig(rows=4, cols=4)]
-        engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), workers=2, chunk_size=8)
-        swept = engine.sweep(
-            [gemm, "batched_gemv"], configs=configs, selections=GEMM_SEL
-        )
-        assert len(swept) == 4
-        assert sum(constructed) == 1  # one pool for the whole sweep
-
-        serial = EvaluationEngine(ArrayConfig(rows=8, cols=8)).sweep(
-            [gemm, "batched_gemv"], configs=configs, selections=GEMM_SEL
-        )
-        assert [r.workload for r in swept] == [r.workload for r in serial]
-        assert [[p.metrics() for p in r] for r in swept] == [
-            [p.metrics() for p in r] for r in serial
-        ]
 
     def test_multi_config_sweep_shares_cache(self):
         cache = MemoCache()

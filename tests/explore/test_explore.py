@@ -2,10 +2,17 @@
 
 import pytest
 
+from repro.api import LocalSession
 from repro.core import naming
-from repro.explore.dse import explore
 from repro.explore.pareto import pareto_front
 from repro.ir import workloads
+from repro.perf.model import ArrayConfig
+
+
+def explore(statement, *, rows, cols, **evaluate_kwargs):
+    """The successfully evaluated points of one session explore."""
+    session = LocalSession(ArrayConfig(rows=rows, cols=cols))
+    return session.explore(statement, **evaluate_kwargs).points
 
 
 @pytest.fixture(scope="module")

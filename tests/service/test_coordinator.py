@@ -398,6 +398,80 @@ class TestIncrementalStreaming:
         assert vanished["server"] == a.url and vanished["job"].startswith("job-")
         coordinator.close()
 
+    def _sweep_resubmitted(self, a, session_cls):
+        """Sweep with a restart grace; assert the one vanished job was
+        resubmitted in place (no reassignment) and the fold is local's."""
+        events = []
+        coordinator = SweepCoordinator(
+            [a.url],
+            array=ARRAY,
+            restart_grace=5.0,
+            on_event=events.append,
+            session_factory=lambda url: session_cls(url, array=ARRAY),
+        )
+        results = coordinator.sweep(WORKLOADS, **SWEEP_KW)
+        report = coordinator.last_report
+        coordinator.close()
+        kinds = [e["event"] for e in events]
+        assert kinds.count("job_vanished") == 1 and kinds.count("job_resumed") == 1
+        assert report["resumed"] == 1 and report["reassigned"] == 0
+        return results
+
+    def test_vanished_job_is_resubmitted_within_grace(self, fleet, local_results):
+        """With a restart grace, a job the server no longer knows is
+        resubmitted under its original submit key and the stream resumes."""
+        a, _ = fleet
+
+        class ForgetsOnce(RemoteSession):
+            armed = True
+
+            def job_rows_async(self, job_id, **kwargs):
+                if ForgetsOnce.armed:
+                    ForgetsOnce.armed = False
+
+                    async def forgot():
+                        raise LookupError(f"no such job {job_id!r}")
+                        yield  # noqa: B901 — unreachable; makes a generator
+
+                    return forgot()
+                return super().job_rows_async(job_id, **kwargs)
+
+        results = self._sweep_resubmitted(a, ForgetsOnce)
+        assert not ForgetsOnce.armed
+        assert names_and_metrics(results) == names_and_metrics(local_results)
+        assert failure_rows(results) == failure_rows(local_results)
+
+    def test_dead_stream_then_forgotten_job_is_resubmitted(self, fleet, local_results):
+        """A row stream that dies, on a server that then answers but no
+        longer knows the job, takes the same resubmit path."""
+        a, _ = fleet
+
+        class DiesThenForgets(RemoteSession):
+            stream_armed = True
+            probe_armed = True
+
+            def job_rows_async(self, job_id, **kwargs):
+                if DiesThenForgets.stream_armed:
+                    DiesThenForgets.stream_armed = False
+
+                    async def died():
+                        raise ConnectionError("stream reset")
+                        yield  # noqa: B901 — unreachable; makes a generator
+
+                    return died()
+                return super().job_rows_async(job_id, **kwargs)
+
+            def job(self, job_id):
+                if DiesThenForgets.probe_armed:
+                    DiesThenForgets.probe_armed = False
+                    raise LookupError(f"no such job {job_id!r}")
+                return super().job(job_id)
+
+        results = self._sweep_resubmitted(a, DiesThenForgets)
+        assert not (DiesThenForgets.stream_armed or DiesThenForgets.probe_armed)
+        assert names_and_metrics(results) == names_and_metrics(local_results)
+        assert failure_rows(results) == failure_rows(local_results)
+
 
 class TestPipelinedFolding:
     """The asyncio dispatch loop: stream-kill reassignment, the bounded
@@ -519,7 +593,7 @@ class TestPipelinedFolding:
         coordinator.close()
 
 
-class TestWeightedSharding:
+class TestSharding:
     def test_shard_size_groups_items_fold_identical(self, fleet):
         """shard_size > 1 groups several (config, workload) items per job;
         the folded list stays bit-identical to local, configs-major."""
@@ -554,10 +628,10 @@ class TestWeightedSharding:
         with pytest.raises(ValueError, match="shard_size"):
             SweepCoordinator([a.url], shard_size=0)
 
-    def test_capacity_weighted_inflight_from_healthz(self, fleet):
-        """A server advertising a process pool is weighted up to `workers`
-        inflight jobs; max_jobs clamps; non-advertising servers keep the
-        max_inflight baseline."""
+    def test_max_jobs_clamps_inflight_from_healthz(self, fleet):
+        """Each server gets max_inflight lanes, clamped by the max_jobs queue
+        depth its healthz advertises; an older server's `workers` field is
+        ignored."""
         a, _ = fleet
 
         def probe_with(info_overrides, **kwargs):
@@ -580,12 +654,12 @@ class TestWeightedSharding:
             coordinator.close()
             return capacity
 
-        assert probe_with({"workers": 6}) == 6
-        assert probe_with({"workers": 6, "max_jobs": 4}) == 4
-        assert probe_with({"workers": 0}) == 2  # serial server: baseline
         assert probe_with({}, max_inflight=3) == 3
-        # the baseline is a floor, never lowered by a small pool
-        assert probe_with({"workers": 1}, max_inflight=3) == 3
+        assert probe_with({"max_jobs": 2}, max_inflight=3) == 2
+        assert probe_with({"max_jobs": 16}, max_inflight=3) == 3
+        # an older server advertising a process pool leaves the baseline
+        assert probe_with({"workers": 6}) == 2
+        assert probe_with({"workers": 6, "max_jobs": 4}, max_inflight=5) == 4
 
 
 class TestSessionSurface:

@@ -47,6 +47,8 @@ class TestWireProtocol:
         assert info["status"] == "ok"
         assert info["schema_version"] == SCHEMA_VERSION
         assert set(info["backends"]) >= {"cost", "perf", "fpga", "sim"}
+        # capacity is the job-queue bound alone: servers evaluate serially
+        assert isinstance(info["max_jobs"], int) and "workers" not in info
         conn.close()
 
     def test_schema_header_mismatch_is_409(self, cached_service):

@@ -87,11 +87,29 @@ def test_unknown_workload_rejected():
         main(["generate", "nope", "MNK-SST"])
 
 
+def test_explore_has_no_workers_flag(capsys):
+    """Local explore is serial; more cores means `repro sweep` over servers."""
+    with pytest.raises(SystemExit):
+        main(["explore", "gemm", "--workers", "2"])
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_serve_refuses_max_jobs_zero(capsys):
     """--max-jobs 0 would mean an unbounded queue: one error line, no serve."""
     assert main(["serve", "--port", "0", "--max-jobs", "0"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: max_queued_jobs")
+
+
+@pytest.mark.parametrize("workers", ["2", "-1"])
+def test_serve_refuses_parallel_workers(capsys, workers):
+    """--workers is accepted as 0/1 only: one error line naming the fleet
+    recipe, no serve (a negative value used to start and then fail every
+    explore and job)."""
+    assert main(["serve", "--port", "0", "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: workers={workers}")
+    assert "repro serve" in err
 
 
 def _shard(path, *, backend):
