@@ -1,20 +1,6 @@
-"""Benchmark suite configuration: make bench_util importable and share
-expensive fixtures (enumerated design spaces) across files."""
+"""Benchmark suite configuration: make bench_util importable."""
 
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-from repro.core.enumerate import enumerate_designs  # noqa: E402
-from repro.ir import workloads  # noqa: E402
-
-
-@pytest.fixture(scope="session")
-def gemm_design_space():
-    """The canonical realizable GEMM design space (paper: 148 points)."""
-    return enumerate_designs(
-        workloads.gemm(1024, 1024, 1024), realizable_only=True, canonical=True
-    )

@@ -346,7 +346,6 @@ class RemoteSession(SessionBase):
         *,
         configs: Sequence[ArrayConfig] | None = None,
         extents: Mapping[str, int] | None = None,
-        stream_rows: bool = False,
         submit_key: str | None = None,
         **engine_options,
     ) -> dict[str, Any]:
@@ -355,10 +354,9 @@ class RemoteSession(SessionBase):
         ``workloads`` entries are Table II names, or
         ``{"workload": name, "extents": {...}}`` payloads when items need
         per-workload problem sizes (how a coordinator packs several sweep
-        items into one job).  ``stream_rows=True`` asks the server to keep
-        every evaluated design in the job's incremental row log, served by
-        :meth:`poll_job` ``since=`` cursors and :meth:`iter_job_rows` *while
-        the job runs*.  ``submit_key`` makes the submit idempotent: a retry
+        items into one job).  The server keeps every evaluated design in the
+        job's row log, streamed by :meth:`iter_job_rows` *while the job
+        runs*.  ``submit_key`` makes the submit idempotent: a retry
         that lost the response (the one POST on this surface that is *not*
         naturally idempotent) gets the original job back instead of
         enqueueing a duplicate.  A full job queue raises
@@ -373,8 +371,8 @@ class RemoteSession(SessionBase):
             payload["configs"] = [wire.array_to_dict(c) for c in configs]
         if extents:
             payload["extents"] = dict(extents)
-        if stream_rows:
-            payload["stream_rows"] = True
+        # servers older than the always-kept row log keep none without it
+        payload["stream_rows"] = True
         if submit_key is not None:
             payload["submit_key"] = submit_key
         if engine_options:
@@ -384,22 +382,6 @@ class RemoteSession(SessionBase):
     def job(self, job_id: str) -> dict[str, Any]:
         """Poll one job (status, and results once done)."""
         return self._call("GET", f"/v1/jobs/{job_id}")["job"]
-
-    def poll_job(self, job_id: str, *, since: int | None = None) -> dict[str, Any]:
-        """Poll one job, optionally paging its row log with a ``since`` cursor.
-
-        With ``since=N`` the snapshot carries only the rows produced after
-        cursor ``N`` (``rows``), plus ``rows_total`` — the cursor to pass
-        next time.  A cursor the server does not recognize as a prefix of the
-        job's log (``since`` beyond the end — e.g. after the job was re-run)
-        comes back as the **full** row list with ``cursor_reset: true``: drop
-        the rows folded so far and rebuild from this snapshot.  Requires the
-        job to have been submitted with ``stream_rows``.
-        """
-        path = f"/v1/jobs/{job_id}"
-        if since is not None:
-            path += f"?since={int(since)}"
-        return self._call("GET", path)["job"]
 
     def iter_job_rows(
         self,

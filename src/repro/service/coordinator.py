@@ -21,9 +21,9 @@ How a sweep runs
    runs event-driven on one asyncio loop: each server gets ``max_inflight``
    worker lanes (fewer when its healthz ``max_jobs`` queue is smaller), and
    each lane pulls the next assignable shard and submits it as one
-   ``POST /v1/jobs`` job with ``stream_rows=True`` — so no lane ever waits
-   on another server.  Each server evaluates serially, so a machine with
-   more cores runs one server per core.
+   ``POST /v1/jobs`` job — so no lane ever waits on another server.  Each
+   server evaluates serially, so a machine with more cores runs one server
+   per core.
 3. **Stream + fold** — each inflight job's row log is *pushed* over its own
    ``GET /v1/jobs/<id>/rows`` long-poll (an :class:`~repro.service.client
    .AsyncRemoteSession` stream that auto-resumes with the last folded
@@ -155,7 +155,7 @@ class _Shard:
     items: list[_ShardItem]
     attempts: int = 0
     excluded: set[int] = field(default_factory=set)  # server indices
-    cursor: int = 0  # job-row seq already folded (the ?since= value)
+    cursor: int = 0  # job-row seq already folded (the /rows since= value)
     #: set by the folder once the shard's results are closed; queued events
     #: arriving after (or from a forfeited attempt — see the epoch tag each
     #: event carries) are dropped instead of folded
@@ -592,7 +592,6 @@ class SweepCoordinator:
             # their own problem sizes inside a grouped shard
             [dict(item.payload) for item in shard.items],
             configs=[shard.config],
-            stream_rows=True,
             # unique per (sweep, shard, attempt): a transport retry of
             # this submit can never double-enqueue, while a real
             # reassignment gets a fresh job

@@ -21,15 +21,13 @@ Endpoints (all under ``/v1``; the full request/response reference lives in
                                then ``stats``
 ``POST /v1/evaluate_names``    paper dataflow names -> per-name perf results
 ``POST /v1/jobs``              submit a sweep job to the bounded queue
-                               (503 full); ``stream_rows`` opts into the
-                               per-design row log
+                               (503 full); every job keeps a per-design
+                               row log
 ``GET  /v1/jobs``              list jobs
-``GET  /v1/jobs/<id>``         poll one job; ``?since=<seq>`` additionally
-                               returns only the rows produced after that
-                               cursor (incremental row streaming)
-``GET  /v1/jobs/<id>/rows``    NDJSON long-poll: every row from ``?since=``
-                               on, *as the job produces them*, until the job
-                               reaches a terminal state
+``GET  /v1/jobs/<id>``         poll one job's snapshot
+``GET  /v1/jobs/<id>/rows``    NDJSON long-poll: every row of the job's log
+                               from ``?since=`` on, *as the job produces
+                               them*, until the job reaches a terminal state
 ``DELETE /v1/jobs/<id>``       cancel (queued jobs immediately; running jobs
                                cooperatively between designs); the snapshot
                                reports ``cancelled_while`` queued vs running
@@ -99,15 +97,13 @@ class Job:
     through :meth:`snapshot` at every point of its life cycle
     (``queued -> running -> done | failed | cancelled``).
 
-    When the submit payload asked for rows (``stream_rows``), every
-    evaluated design is appended to :attr:`rows` as a
+    Every evaluated design is appended to :attr:`rows` as a
     ``/v1/explore``-format wire row *while the job runs*, extended with two
     keys: ``seq`` — the 1-based, job-global, strictly increasing row cursor —
     and ``item`` — the 0-based index of the (config, workload) item (in
     configs-major job order) the design belongs to.  ``rows`` only ever
-    grows, which is what makes ``snapshot(since=N)`` (only rows after cursor
-    ``N``) and the ``GET /v1/jobs/<id>/rows`` long-poll safe to serve from
-    another thread without locking.
+    grows, which is what makes the ``GET /v1/jobs/<id>/rows`` long-poll safe
+    to serve from another thread without locking.
     """
 
     id: str
@@ -120,11 +116,8 @@ class Job:
     cancelled_while: str | None = None
     #: Total (config, workload) items this job will run; progress denominator.
     total_items: int = 0
-    #: The incremental per-design row log (see class docstring); populated
-    #: only when :attr:`keep_rows` is set at submit time.
+    #: The incremental per-design row log (see class docstring).
     rows: list[dict[str, Any]] = field(default_factory=list)
-    #: Whether this job records :attr:`rows` (``stream_rows``).
-    keep_rows: bool = False
     #: True for a job rebuilt from a journal that had no terminal entry: it
     #: was queued or running when the server died and re-enters the queue.
     resumed: bool = False
@@ -136,16 +129,8 @@ class Job:
     #: the job ends instead of sleeping the pause out.
     done: asyncio.Event = field(default_factory=asyncio.Event)
 
-    def snapshot(self, since: int | None = None) -> dict[str, Any]:
-        """The job's JSON wire shape; ``since`` adds the incremental row page.
-
-        With ``since=N`` the snapshot additionally carries ``rows`` (every
-        row with ``seq > N``), ``rows_total`` (the caller's next cursor) and —
-        when ``N`` lies beyond the end of the log, i.e. the cursor came from
-        a different run of this job id — ``cursor_reset: true`` with the
-        *full* row list, so a client can drop its stale fold and resync from
-        the snapshot instead of silently missing rows.
-        """
+    def snapshot(self) -> dict[str, Any]:
+        """The job's JSON wire shape; its rows travel only over ``/rows``."""
         out: dict[str, Any] = {
             "id": self.id,
             "status": self.status,
@@ -170,19 +155,6 @@ class Job:
             out["replayed_rows"] = self.replayed_rows
         if self.status in ("done", "cancelled") and self.results:
             out["results"] = self.results
-        if since is not None:
-            if not self.keep_rows:
-                raise ValueError(
-                    f"job {self.id!r} was not submitted with stream_rows; "
-                    "it keeps no row log to page with ?since="
-                )
-            total = len(self.rows)  # snapshot the length: rows only grows
-            cursor = max(0, since)
-            if cursor > total:
-                out["cursor_reset"] = True
-                cursor = 0
-            out["rows"] = self.rows[cursor:total]
-            out["rows_total"] = total
         return out
 
 
@@ -383,7 +355,6 @@ class EvaluationService:
                 id=fields["id"],
                 payload=fields["payload"],
                 total_items=fields["total_items"],
-                keep_rows=fields["keep_rows"],
             )
             job.rows = fields["rows"]
             job.results = fields["results"]
@@ -687,7 +658,7 @@ class EvaluationService:
             job_id = path[len("/v1/jobs/") : -len("/rows")]
             await self._job_rows_stream(job_id, params, writer)
         elif method in ("GET", "DELETE") and path.startswith("/v1/jobs/"):
-            self._job_detail(method, path.rsplit("/", 1)[1], params, writer)
+            self._job_detail(method, path.rsplit("/", 1)[1], writer)
         else:
             self._json_response(
                 writer,
@@ -768,6 +739,8 @@ class EvaluationService:
     def _submit_job(self, payload: Mapping[str, Any], writer) -> None:
         items = wire.job_items(payload)  # validates the workloads list shape
         _engine_options(payload)  # validate option names up front
+        # every job keeps its row log, so the value is ignored; clients send
+        # it for older servers, and outside input is still type-checked
         if not isinstance(payload.get("stream_rows", False), bool):
             raise ValueError('"stream_rows" must be a boolean')
         submit_key = payload.get("submit_key")
@@ -799,7 +772,6 @@ class EvaluationService:
             id=f"job-{next(self._job_ids)}",
             payload=dict(payload),
             total_items=len(items) * max(1, len(configs)),
-            keep_rows=bool(payload.get("stream_rows")),
         )
         try:
             self._job_queue.put_nowait(job)
@@ -828,27 +800,22 @@ class EvaluationService:
                 "id": job.id,
                 "payload": job.payload,
                 "total_items": job.total_items,
-                "keep_rows": job.keep_rows,
             },
         )
         self._prune_jobs()
         self._json_response(writer, 202, {"job": job.snapshot()})
 
     @staticmethod
-    def _since_param(params: Mapping[str, str]) -> int | None:
-        raw = params.get("since")
-        if raw is None:
-            return None
+    def _since_param(params: Mapping[str, str]) -> int:
+        raw = params.get("since", "0")
         try:
-            return int(raw)
+            return max(0, int(raw))
         except ValueError:
             raise ValueError(
                 f'"since" must be an integer row cursor, got {raw!r}'
             ) from None
 
-    def _job_detail(
-        self, method: str, job_id: str, params: Mapping[str, str], writer
-    ) -> None:
+    def _job_detail(self, method: str, job_id: str, writer) -> None:
         job = self.jobs.get(job_id)
         if job is None:
             self._json_response(
@@ -870,9 +837,7 @@ class EvaluationService:
             elif job.status == "running":
                 job.cancel_requested = True
                 job.cancelled_while = "running"
-        self._json_response(
-            writer, 200, {"job": job.snapshot(since=self._since_param(params))}
-        )
+        self._json_response(writer, 200, {"job": job.snapshot()})
 
     async def _job_rows_stream(
         self, job_id: str, params: Mapping[str, str], writer: asyncio.StreamWriter
@@ -904,12 +869,7 @@ class EvaluationService:
                 {"error": f"no such job {job_id!r}", "error_type": "LookupError"},
             )
             return
-        if not job.keep_rows:
-            raise ValueError(
-                f"job {job_id!r} was not submitted with stream_rows; "
-                "there is no row log to stream"
-            )
-        cursor = max(0, self._since_param(params) or 0)
+        cursor = self._since_param(params)
         raw_keepalive = params.get("keepalive")
         try:
             keepalive = (
@@ -1102,10 +1062,9 @@ class EvaluationService:
 
         Each (config, workload) item streams through the session's engine —
         the same :meth:`~repro.explore.engine.EvaluationEngine.stream` path
-        as ``/v1/explore`` — and, when the job keeps rows, every design lands
-        in :attr:`Job.rows` *as it is evaluated*, tagged with its job-global
-        ``seq`` cursor and its ``item`` index.  That row log is what
-        ``GET /v1/jobs/<id>?since=`` and the ``/rows`` long-poll serve
+        as ``/v1/explore`` — and every design lands in :attr:`Job.rows` *as
+        it is evaluated*, tagged with its job-global ``seq`` cursor and its
+        ``item`` index.  That row log is what the ``/rows`` long-poll serves
         incrementally while the job runs.
 
         Cancellation is cooperative at *design* granularity: the flag is
@@ -1175,12 +1134,11 @@ class EvaluationService:
                     )
                 for point in stream:
                     (points if point.ok else failures).append(point)
-                    if job.keep_rows:
-                        row = wire.point_to_row(point)
-                        row["item"] = item_index
-                        job.rows.append(row)
-                        self._journal_append(job, "row", row)
-                        self._poke_rows_streams()
+                    row = wire.point_to_row(point)
+                    row["item"] = item_index
+                    job.rows.append(row)
+                    self._journal_append(job, "row", row)
+                    self._poke_rows_streams()
                     if job.cancel_requested:
                         return False
                 stats.skipped = len(failures)

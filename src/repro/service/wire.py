@@ -288,9 +288,9 @@ def point_to_row(point: DesignPoint) -> dict[str, Any]:
     """One streamed design: metrics for successes, stage+reason for failures.
 
     ``seq`` (the point's 1-based emission index, when the engine assigned
-    one) travels with the row — it is the cursor the incremental job-row
-    endpoints (``GET /v1/jobs/<id>?since=`` and ``/v1/jobs/<id>/rows``) page
-    on, and lets any stream consumer detect dropped rows.
+    one) travels with the row — it is the cursor a job's row stream
+    (``GET /v1/jobs/<id>/rows?since=``) resumes from, and lets any stream
+    consumer detect dropped rows.
     """
     row: dict[str, Any] = {
         "row": "point" if point.ok else "failure",
@@ -413,8 +413,8 @@ def replay_journal(entries: list[dict[str, Any]]) -> dict[str, Any] | None:
 
     Returns ``None`` when the journal never got a ``job`` header (an empty or
     fully torn file — the job id was never durably created).  Otherwise the
-    returned dict carries ``id``/``payload``/``total_items``/``keep_rows``
-    from the header, the replayed ``rows`` and per-item ``results``, and the
+    returned dict carries ``id``/``payload``/``total_items`` from the
+    header, the replayed ``rows`` and per-item ``results``, and the
     terminal ``status``/``error``/``cancelled_while`` — with ``status=None``
     when no ``end`` entry survived, i.e. the job was still queued or running
     when the server died and must be resumed.
@@ -427,7 +427,6 @@ def replay_journal(entries: list[dict[str, Any]]) -> dict[str, Any] | None:
                 "id": str(entry.get("id", "")),
                 "payload": dict(entry.get("payload") or {}),
                 "total_items": int(entry.get("total_items", 0)),
-                "keep_rows": bool(entry.get("keep_rows", False)),
                 "rows": [],
                 "results": [],
                 "status": None,

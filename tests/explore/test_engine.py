@@ -152,6 +152,7 @@ class TestMemoCache:
 
         cold_engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
         cold = cold_engine.evaluate(gemm, selections=GEMM_SEL)
+        assert len(cold) > 20 and not cold.failures
         assert cold.stats.cache_hits == 0
         assert cold.stats.evaluated == len(cold)
         assert path.exists()

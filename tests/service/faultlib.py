@@ -13,6 +13,8 @@ this module keeps that machinery reusable:
   journal entries on disk, which is how tests time their kills: "mid-stream
   at row N" means *N rows durably journaled*, not N rows merely produced.
 - :func:`wait_for` is the tiny poll loop every kill-point trigger shares.
+- :func:`data_rows` picks the design rows out of a ``/rows`` frame sequence,
+  which is what every recovery assertion compares.
 
 Kill points the suite parametrizes over:
 
@@ -210,3 +212,8 @@ def wait_for(predicate, budget: float = 60.0, pause: float = 0.01) -> bool:
             return True
         time.sleep(pause)
     return False
+
+
+def data_rows(frames) -> list[dict]:
+    """The ``point``/``failure`` rows of a ``/rows`` frame sequence."""
+    return [f for f in frames if f.get("row") in ("point", "failure")]

@@ -65,16 +65,21 @@ class TestDeterministicFold:
         assert report["servers_lost"] == 0
         session.close()
 
-    def test_multi_config_order_is_configs_major(self, fleet):
+    @pytest.mark.parametrize("max_inflight", [None, 1])
+    def test_multi_config_order_is_configs_major(self, fleet, max_inflight):
         a, b = fleet
         configs = [ARRAY, SMALL_ARRAY]
-        session = CoordinatedSession([a.url, b.url], array=ARRAY)
+        lanes = {} if max_inflight is None else {"max_inflight": max_inflight}
+        session = CoordinatedSession([a.url, b.url], array=ARRAY, **lanes)
         results = session.sweep(WORKLOADS, configs=configs, **SWEEP_KW)
         local = LocalSession(ARRAY).sweep(WORKLOADS, configs=configs, **SWEEP_KW)
         assert [(r.workload, r.array) for r in results] == [
             (r.workload, r.array) for r in local
         ]
         assert names_and_metrics(results) == names_and_metrics(local)
+        if max_inflight == 1:
+            # four shards over two one-lane servers: both carried work
+            assert all(s.completed > 0 for s in session.coordinator.servers)
         session.close()
 
     def test_stats_travel_with_job_results(self, fleet, local_results):
@@ -281,7 +286,7 @@ class TestBackOff:
 
 
 class TestIncrementalStreaming:
-    """The since-cursor fold path: rows stream, snapshots never re-ship."""
+    """The /rows fold path: rows stream, snapshots never re-ship."""
 
     def test_rows_streamed_not_reshipped(self, fleet, local_results):
         """The fold is built from the pushed row stream: the report counts
@@ -293,8 +298,8 @@ class TestIncrementalStreaming:
         class RecordingSession(RemoteSession):
             snapshots = []
 
-            def poll_job(self, job_id, **kwargs):
-                snapshot = super().poll_job(job_id, **kwargs)
+            def job(self, job_id):
+                snapshot = super().job(job_id)
                 RecordingSession.snapshots.append(snapshot)
                 return snapshot
 
@@ -400,7 +405,8 @@ class TestIncrementalStreaming:
 
     def _sweep_resubmitted(self, a, session_cls):
         """Sweep with a restart grace; assert the one vanished job was
-        resubmitted in place (no reassignment) and the fold is local's."""
+        resubmitted in place (no reassignment) and every design folded
+        exactly once.  Returns the results and the coordinator's events."""
         events = []
         coordinator = SweepCoordinator(
             [a.url],
@@ -415,7 +421,9 @@ class TestIncrementalStreaming:
         kinds = [e["event"] for e in events]
         assert kinds.count("job_vanished") == 1 and kinds.count("job_resumed") == 1
         assert report["resumed"] == 1 and report["reassigned"] == 0
-        return results
+        designs = sum(len(r.points) + len(r.failures) for r in results)
+        assert report["rows_streamed"] == designs
+        return results, events
 
     def test_vanished_job_is_resubmitted_within_grace(self, fleet, local_results):
         """With a restart grace, a job the server no longer knows is
@@ -436,41 +444,67 @@ class TestIncrementalStreaming:
                     return forgot()
                 return super().job_rows_async(job_id, **kwargs)
 
-        results = self._sweep_resubmitted(a, ForgetsOnce)
+        results, _ = self._sweep_resubmitted(a, ForgetsOnce)
         assert not ForgetsOnce.armed
         assert names_and_metrics(results) == names_and_metrics(local_results)
         assert failure_rows(results) == failure_rows(local_results)
 
-    def test_dead_stream_then_forgotten_job_is_resubmitted(self, fleet, local_results):
-        """A row stream that dies, on a server that then answers but no
-        longer knows the job, takes the same resubmit path."""
-        a, _ = fleet
+    @pytest.mark.parametrize("folded", [0, 3])
+    def test_dead_stream_then_forgotten_job_is_resubmitted(self, local_results, folded):
+        """A row stream that dies after ``folded`` rows, on a server that
+        then answers but no longer knows the job (it restarted without a
+        journal), takes the same resubmit path.  The server runs a fresh job
+        under the same submit key, whose deterministic rows line up with the
+        cursor the coordinator still holds: the stream resumes past the
+        folded prefix, and the fold is local's."""
 
         class DiesThenForgets(RemoteSession):
-            stream_armed = True
-            probe_armed = True
+            armed = True
+            lost = None
 
             def job_rows_async(self, job_id, **kwargs):
-                if DiesThenForgets.stream_armed:
-                    DiesThenForgets.stream_armed = False
+                inner = super().job_rows_async(job_id, **kwargs)
+                if not DiesThenForgets.armed:
+                    return inner
+                DiesThenForgets.armed = False
 
-                    async def died():
-                        raise ConnectionError("stream reset")
-                        yield  # noqa: B901 — unreachable; makes a generator
+                async def dies_after_rows():
+                    seen = 0
+                    async for frame in inner:
+                        if frame.get("row") in ("point", "failure"):
+                            if seen == folded:
+                                break
+                            seen += 1
+                        yield frame
+                    await inner.aclose()
+                    DiesThenForgets.lost = job_id
+                    raise ConnectionError("stream reset")
 
-                    return died()
-                return super().job_rows_async(job_id, **kwargs)
+                return dies_after_rows()
 
             def job(self, job_id):
-                if DiesThenForgets.probe_armed:
-                    DiesThenForgets.probe_armed = False
+                if job_id == DiesThenForgets.lost:
+                    # the restart probe: the server forgot the job, so the
+                    # resubmit's submit_key cannot dedup back to it
+                    a.service.jobs.pop(job_id, None)
                     raise LookupError(f"no such job {job_id!r}")
                 return super().job(job_id)
 
-        results = self._sweep_resubmitted(a, DiesThenForgets)
-        assert not (DiesThenForgets.stream_armed or DiesThenForgets.probe_armed)
+        # no memo cache: like a restarted server, the re-run evaluates its
+        # whole shard again
+        with ServiceThread(LocalSession(ARRAY)) as a:
+            results, events = self._sweep_resubmitted(a, DiesThenForgets)
+        lost = DiesThenForgets.lost
+        assert lost is not None, "the armed stream ended before it died"
         assert names_and_metrics(results) == names_and_metrics(local_results)
         assert failure_rows(results) == failure_rows(local_results)
+        vanished = next(e for e in events if e["event"] == "job_vanished")
+        resumed = next(e for e in events if e["event"] == "job_resumed")
+        assert vanished["job"] == lost
+        assert resumed["job"] != lost and resumed["since"] == folded
+        assert [r.stats.evaluated for r in results] == [
+            r.stats.evaluated for r in local_results
+        ]
 
 
 class TestPipelinedFolding:
@@ -613,6 +647,8 @@ class TestSharding:
         # 2 configs x 2 workloads = 4 items in 2 two-item shards
         assert report["items"] == 4 and report["shards"] == 2
         assert report["jobs"] == 2
+        # grouped jobs still stream one wire row per design
+        assert report["rows_streamed"] == sum(len(r) + len(r.failures) for r in local)
         session.close()
 
     def test_oversized_shard_is_one_job_per_config(self, fleet, local_results):

@@ -15,6 +15,11 @@ and asserts the journal contract from the outside:
   evaluations** (``sum(stats.evaluated) + rows_replayed`` equals the local
   evaluation count exactly).
 
+One sweep runs without ``--journal-dir``, as the baseline the journal
+improves on: the restarted server has forgotten the job, the coordinator
+resubmits it, and the fresh run's rows line up with the coordinator's
+cursor — the same fold, with every design evaluated again.
+
 The in-process :class:`ServiceThread` appears only where subprocess timing
 would make an assertion racy (the cursor-boundary regression), never for the
 kill itself — a crash that runs ``finally`` blocks is not a crash.
@@ -31,6 +36,7 @@ from repro.service import RemoteSession, ServiceThread, SweepCoordinator
 
 from .faultlib import (
     ServerProcess,
+    data_rows,
     journaled_rows,
     journaled_terminal,
     wait_for,
@@ -53,6 +59,11 @@ def _wait_terminal(remote, job_id, budget=120):
     raise AssertionError(f"job {job_id} did not finish within {budget}s")
 
 
+def _rows(remote, job_id):
+    """A terminal job's whole row log, read over the ``/rows`` stream."""
+    return data_rows(remote.iter_job_rows(job_id))
+
+
 def _sans_stats(records):
     # a resumed item's fresh stats honestly count only post-crash
     # evaluations; everything else in the record must be identical
@@ -64,11 +75,10 @@ def reference_job():
     """The uninterrupted run every crashed run must reproduce exactly."""
     with ServiceThread(LocalSession(ARRAY)) as srv:
         remote = RemoteSession(srv.url)
-        job = remote.submit_job([WORKLOAD], extents=EXTENTS, stream_rows=True)
+        job = remote.submit_job([WORKLOAD], extents=EXTENTS)
         snap = _wait_terminal(remote, job["id"])
         assert snap["status"] == "done", snap
-        rows = remote.poll_job(job["id"], since=0)["rows"]
-        return rows, snap["results"]
+        return _rows(remote, job["id"]), snap["results"]
 
 
 class TestCrashRestart:
@@ -86,10 +96,7 @@ class TestCrashRestart:
         try:
             remote = RemoteSession(server.url, retries=1, backoff=0.05)
             job = remote.submit_job(
-                [WORKLOAD],
-                extents=EXTENTS,
-                stream_rows=True,
-                submit_key="crash-restart-1",
+                [WORKLOAD], extents=EXTENTS, submit_key="crash-restart-1"
             )
             job_id = job["id"]
 
@@ -117,8 +124,7 @@ class TestCrashRestart:
             assert snap["status"] == "done", snap
 
             # bit-identical recovery: same rows, same records
-            page = remote.poll_job(job_id, since=0)
-            assert page["rows"] == ref_rows
+            assert _rows(remote, job_id) == ref_rows
             assert _sans_stats(snap["results"]) == _sans_stats(ref_results)
 
             if kill_point == "after_terminal":
@@ -135,10 +141,7 @@ class TestCrashRestart:
             # submit_key dedup survives the restart: a transport-retried
             # POST lands on the rebuilt job instead of double-enqueueing
             dup = remote.submit_job(
-                [WORKLOAD],
-                extents=EXTENTS,
-                stream_rows=True,
-                submit_key="crash-restart-1",
+                [WORKLOAD], extents=EXTENTS, submit_key="crash-restart-1"
             )
             assert dup["id"] == job_id
         finally:
@@ -165,7 +168,7 @@ class TestCrashRestart:
             # a generous retry budget: the client must outlive the restart
             # (subprocess startup is seconds), not declare the server dead
             remote = RemoteSession(server.url, retries=60, backoff=0.2)
-            job = remote.submit_job([WORKLOAD], extents=EXTENTS, stream_rows=True)
+            job = remote.submit_job([WORKLOAD], extents=EXTENTS)
             kt = threading.Thread(target=killer)
             kt.start()
             frames = list(remote.iter_job_rows(job["id"]))
@@ -173,7 +176,7 @@ class TestCrashRestart:
             assert not any(f.get("row") == "reset" for f in frames), (
                 "a deterministic resume must never reset the cursor"
             )
-            seqs = [f["seq"] for f in frames if f.get("row") in ("point", "failure")]
+            seqs = [f["seq"] for f in data_rows(frames)]
             assert restarted.is_set(), "server never restarted"
             assert seqs == list(range(1, len(ref_rows) + 1))
             snap = remote.job(job["id"])
@@ -203,11 +206,10 @@ class TestCursorBoundary:
                 ["batched_gemv"],
                 one_d_only=True,
                 extents={"m": 8, "n": 8, "k": 8},
-                stream_rows=True,
             )
             snap = _wait_terminal(remote, job["id"])
             assert snap["status"] == "done"
-            total = remote.poll_job(job["id"], since=0)["rows_total"]
+            total = len(_rows(remote, job["id"]))
             assert total > 0
             port = srv.port
         finally:
@@ -219,21 +221,19 @@ class TestCursorBoundary:
         try:
             remote = RemoteSession(srv.url)
             # exactly on the end of the log: no reset, no rows, clean end
-            page = remote.poll_job(job["id"], since=total)
-            assert "cursor_reset" not in page
-            assert page["rows"] == [] and page["rows_total"] == total
             frames = list(remote.iter_job_rows(job["id"], since=total))
             assert [f["row"] for f in frames] == ["start", "end"]
             assert "cursor_reset" not in frames[0]
+            assert frames[-1]["rows_total"] == total
             # one before the end: exactly the final row, never a replay
             start, last, end = list(
                 remote.iter_job_rows(job["id"], since=total - 1)
             )
             assert last["seq"] == total and end["row"] == "end"
             # one PAST the end is a stale cursor from another life: reset
-            stale = remote.poll_job(job["id"], since=total + 1)
-            assert stale.get("cursor_reset") is True
-            assert len(stale["rows"]) == total
+            stale = list(remote.iter_job_rows(job["id"], since=total + 1))
+            assert stale[0].get("cursor_reset") is True
+            assert [f["seq"] for f in stale[1:-1]] == list(range(1, total + 1))
         finally:
             srv.stop()
 
@@ -293,3 +293,63 @@ class TestCrashRestartSweep:
         finally:
             victim.stop()
             survivor.stop()
+
+    def test_kill9_without_journal_reruns_behind_the_cursor(self):
+        """A server without a journal forgets its jobs when it dies.  The
+        coordinator resubmits the shard under its original submit key, the
+        restarted server runs it as a fresh job, and that job's deterministic
+        rows line up with the cursor the coordinator still holds: the folded
+        prefix is kept, each design folds once, and the fold is local's —
+        at the price of evaluating the whole shard again."""
+        workloads = ["gemm", "batched_gemv", "depthwise_conv"]
+        # all three workloads make one ~1,000-design shard: its first row
+        # folds within tens of ms of a run that lasts about a second, so the
+        # kill lands mid-job with a wide margin
+        kill_at = 1
+        local = LocalSession(ARRAY).sweep(workloads)
+        local_evaluated = sum(r.stats.evaluated for r in local)
+        designs = sum(len(r.points) + len(r.failures) for r in local)
+        server = ServerProcess().start()
+        events = []
+        folded = []
+
+        def crash_on_fold(point):
+            # on_row runs on the coordinator's fold lane: blocking here holds
+            # the sweep still, the job's stream open, while the server dies
+            # and comes back on the same port with an empty job table
+            folded.append(point)
+            if len(folded) == kill_at:
+                server.kill()
+                server.restart()
+
+        try:
+            coordinator = SweepCoordinator(
+                [server.url],
+                array=ARRAY,
+                shard_size=len(workloads),
+                restart_grace=60.0,
+                retries=1,
+                backoff=0.05,
+                on_event=lambda e: events.append(dict(e)),
+                on_row=crash_on_fold,
+            )
+            results = coordinator.sweep(workloads)
+            report = coordinator.last_report
+            coordinator.close()
+        finally:
+            server.stop()
+
+        assert [[(p.name, p.metrics()) for p in r] for r in results] == [
+            [(p.name, p.metrics()) for p in r] for r in local
+        ]
+        assert [len(r.failures) for r in results] == [len(r.failures) for r in local]
+        kinds = [e["event"] for e in events]
+        assert kinds.count("job_vanished") == 1, kinds
+        resumed = [e for e in events if e["event"] == "job_resumed"]
+        assert len(resumed) == 1 and resumed[0]["since"] >= kill_at, resumed
+        assert report["resumed"] == 1 and report["reassigned"] == 0, report
+        # nothing to adopt without a journal: the fresh job evaluated every
+        # design, and the held cursor kept the prefix from folding twice
+        assert report["rows_replayed"] == 0
+        assert sum(r.stats.evaluated for r in results) == local_evaluated
+        assert len(folded) == report["rows_streamed"] == designs

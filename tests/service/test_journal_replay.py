@@ -11,7 +11,8 @@ status present only when the ``end`` entry itself survived whole.
 Hypothesis drives random row/record interleavings, terminal states and cut
 offsets (the empty file and the torn final line fall out of the offset
 range); a second property feeds random garbage tails to pin the
-drop-everything-after-damage rule.
+drop-everything-after-damage rule.  One server-level test pins how a
+row-less journal written by an older build replays.
 """
 
 import pytest
@@ -20,8 +21,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.service import wire  # noqa: E402
+from repro.api import LocalSession  # noqa: E402
+from repro.perf.model import ArrayConfig  # noqa: E402
+from repro.service import RemoteSession, ServiceThread, wire  # noqa: E402
 from repro.service.server import Job  # noqa: E402
+
+from .faultlib import data_rows  # noqa: E402
 
 
 def _entries(n_rows: int, item_size: int, with_end: bool, status: str):
@@ -34,6 +39,7 @@ def _entries(n_rows: int, item_size: int, with_end: bool, status: str):
                 "id": "job-3",
                 "payload": {"workloads": ["w"], "submit_key": "sk"},
                 "total_items": max(1, (n_rows + item_size - 1) // item_size),
+                # earlier builds wrote this flag; replay must ignore it
                 "keep_rows": True,
             },
         )
@@ -125,7 +131,6 @@ def test_any_truncation_replays_the_durable_prefix(
         id=fields["id"],
         payload=fields["payload"],
         total_items=fields["total_items"],
-        keep_rows=fields["keep_rows"],
     )
     job.rows = fields["rows"]
     job.results = fields["results"]
@@ -133,13 +138,10 @@ def test_any_truncation_replays_the_durable_prefix(
         job.resumed = True  # queued/running at the crash: resumes
     else:
         job.status = fields["status"]
-    snap = job.snapshot(since=0)
-    assert snap["rows"] == exp_rows
-    assert snap["rows_total"] == len(exp_rows)
+    assert job.rows == exp_rows
     # seqs are a contiguous prefix: seq == index + 1 is the cursor invariant
-    assert [row["seq"] for row in snap["rows"]] == list(
-        range(1, len(exp_rows) + 1)
-    )
+    assert [row["seq"] for row in job.rows] == list(range(1, len(exp_rows) + 1))
+    snap = job.snapshot()
     assert snap["progress"]["completed"] == len(exp_records)
     assert snap["status"] == (status if end_survived else "queued")
 
@@ -165,6 +167,63 @@ def test_garbage_tail_never_corrupts_the_prefix(n_rows, garbage):
         wire.journal_entry(kind, fields) for kind, fields in entries
     ]
     assert len(decoded) == len(entries)
+
+
+@pytest.mark.parametrize("ended", [True, False])
+def test_rowless_journal_from_an_older_build_replays(tmp_path, ended):
+    """Older builds kept no row log for a job submitted without
+    ``stream_rows``: its header flags the job as keeping none, and the
+    journal holds records but no rows.  It still replays here.  A terminal job
+    serves an empty log (``start``, then ``end`` with ``rows_total: 0``);
+    an interrupted one re-runs only the items without a record, so its log
+    starts mid-job with the rows of those items alone."""
+    record = {"workload": "batched_gemv", "item": 0, "points": 1, "failures": 0}
+    entries = [
+        (
+            "job",
+            {
+                "schema_version": 1,
+                "id": "job-3",
+                "payload": {
+                    "workloads": ["batched_gemv", "batched_gemv"],
+                    "extents": {"m": 8, "n": 8, "k": 8},
+                    "options": {"one_d_only": True},
+                },
+                "total_items": 2,
+                "keep_rows": False,
+            },
+        ),
+        ("record", record),
+    ]
+    if ended:
+        entries += [
+            ("record", {**record, "item": 1}),
+            ("end", {"status": "done", "error": None, "cancelled_while": None}),
+        ]
+    journal = tmp_path / "journal"
+    journal.mkdir()
+    (journal / ("job-3" + wire.JOURNAL_SUFFIX)).write_bytes(
+        b"".join(
+            wire.encode_journal_entry(wire.journal_entry(kind, fields))
+            for kind, fields in entries
+        )
+    )
+    with ServiceThread(
+        LocalSession(ArrayConfig(rows=8, cols=8)), journal_dir=journal
+    ) as srv:
+        frames = list(RemoteSession(srv.url).iter_job_rows("job-3"))
+    end = frames[-1]
+    assert end["row"] == "end" and end["status"] == "done"
+    rows = data_rows(frames)
+    assert end["rows_total"] == len(rows)
+    assert [r["seq"] for r in rows] == list(range(1, len(rows) + 1))
+    if ended:
+        assert rows == []
+        assert end["job"]["results"] == [record, {**record, "item": 1}]
+    else:
+        assert rows and {r["item"] for r in rows} == {1}
+        assert end["job"]["resumed"] is True and end["job"]["replayed_rows"] == 0
+        assert end["job"]["results"][0] == record
 
 
 def test_entries_before_header_are_rejected():

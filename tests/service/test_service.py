@@ -17,6 +17,8 @@ from repro.api.types import SchemaVersionError
 from repro.perf.model import ArrayConfig
 from repro.service import EvaluationService, RemoteSession, ServiceThread
 
+from .faultlib import data_rows
+
 SMALL = {"m": 4, "n": 4, "k": 4}
 SMALL_ARRAY = ArrayConfig(rows=2, cols=2)
 
@@ -108,13 +110,23 @@ class TestEvaluation:
 
     def test_evaluate_many_round_trip(self, remote):
         requests = [
-            remote.request("gemm", name, backend=backend, extents=SMALL, array=SMALL_ARRAY)
+            remote.request(
+                "gemm", name, backend=backend, extents=SMALL, array=SMALL_ARRAY,
+                options={"workload_label": "MM"} if backend == "fpga" else {},
+            )
             for name in ("MNK-SST", "MNK-MTM")
-            for backend in ("perf", "cost")
+            for backend in ("perf", "cost", "fpga", "sim")
         ]
         results = remote.evaluate_many(requests)
-        assert [r.backend for r in results] == ["perf", "cost", "perf", "cost"]
+        assert [r.backend for r in results] == ["perf", "cost", "fpga", "sim"] * 2
         assert all(r.ok for r in results)
+        # location transparency: the same metrics as in process, and a
+        # repeat of the batch is served from the server's memo cache
+        local = LocalSession(SMALL_ARRAY).evaluate_many(requests)
+        assert [r.metrics for r in results] == [r.metrics for r in local]
+        repeat = remote.evaluate_many(requests)
+        assert all(r.cached for r in repeat)
+        assert [r.metrics for r in repeat] == [r.metrics for r in results]
 
     def test_client_array_governs_not_servers(self, cached_service):
         """A remote session's own platform wins over the server's default.
@@ -247,6 +259,14 @@ class TestJobs:
             remote._call("POST", "/v1/jobs", {"workloads": []})
         with pytest.raises(KeyError, match="unknown workload"):
             remote.submit_job(["nope"])
+        # ignored by the server, but still outside input: a non-boolean is
+        # refused, and the removed client keyword is an unknown option
+        with pytest.raises(ValueError, match='"stream_rows" must be a boolean'):
+            remote._call(
+                "POST", "/v1/jobs", {"workloads": ["gemm"], "stream_rows": "yes"}
+            )
+        with pytest.raises(ValueError, match="unknown explore option.*stream_rows"):
+            remote.submit_job(["gemm"], stream_rows=True)
 
     def test_queue_bound_cancel_and_drain(self, tmp_path):
         """A dedicated small-queue server: fill it, overflow 503, cancel one."""
@@ -372,48 +392,49 @@ class TestJobs:
 
 
 class TestJobRowStreaming:
-    """The incremental row cursor (`?since=`) and the /rows long-poll."""
+    """The /rows long-poll: the row log's `since` cursor, resets, resumes."""
 
     EXTENTS = {"m": 8, "n": 8, "k": 8}
 
     def _submit(self, remote, workloads=("batched_gemv",), **kwargs):
         kwargs.setdefault("one_d_only", True)
         kwargs.setdefault("extents", self.EXTENTS)
-        kwargs.setdefault("stream_rows", True)
         return remote.submit_job(list(workloads), **kwargs)
 
     def test_since_cursor_pages_the_row_log(self, remote):
         job = self._submit(remote)
         job = _wait_terminal(remote, job["id"])
         assert job["status"] == "done", job
-        full = remote.poll_job(job["id"], since=0)
-        rows = full["rows"]
-        assert rows and full["rows_total"] == len(rows)
+        frames = list(remote.iter_job_rows(job["id"]))
+        rows = data_rows(frames)
+        assert rows and frames[-1]["rows_total"] == len(rows)
         # seq is the 1-based, strictly increasing job-global cursor
         assert [row["seq"] for row in rows] == list(range(1, len(rows) + 1))
         assert all(row["item"] == 0 for row in rows)
-        (record,) = full["results"]
+        (record,) = job["results"]
         assert len(rows) == record["points"] + record["failures"]
-        # a mid-log cursor returns exactly the rows after it
-        middle = remote.poll_job(job["id"], since=len(rows) // 2)
-        assert [r["seq"] for r in middle["rows"]] == [
-            r["seq"] for r in rows[len(rows) // 2 :]
-        ]
-        # a caught-up cursor returns an empty page, not an error
-        done = remote.poll_job(job["id"], since=full["rows_total"])
-        assert done["rows"] == [] and done["rows_total"] == full["rows_total"]
-        assert "cursor_reset" not in done
+        # a mid-log cursor yields exactly the rows after it
+        middle = data_rows(remote.iter_job_rows(job["id"], since=len(rows) // 2))
+        assert middle == rows[len(rows) // 2 :]
+        # a caught-up cursor yields start and end, not a reset
+        done = list(remote.iter_job_rows(job["id"], since=len(rows)))
+        assert [f["row"] for f in done] == ["start", "end"]
+        assert "cursor_reset" not in done[0]
+        # rows travel only over /rows: the snapshot route ignores ?since=
+        snapshot = remote._call("GET", f"/v1/jobs/{job['id']}?since=0")["job"]
+        assert "rows" not in snapshot and "rows_total" not in snapshot
 
     def test_cursor_past_end_resets_with_full_snapshot(self, remote):
-        """A cursor beyond the log (e.g. from a previous run of the job id)
-        comes back as the full row list plus cursor_reset — the client's
-        signal to drop its fold and resync."""
+        """A cursor beyond a terminal job's log (e.g. from a previous run of
+        the job id) opens with a cursor_reset start frame, then the full log
+        — the client's signal to drop its fold and resync."""
         job = self._submit(remote)
-        job = _wait_terminal(remote, job["id"])
-        full = remote.poll_job(job["id"], since=0)
-        stale = remote.poll_job(job["id"], since=full["rows_total"] + 100)
-        assert stale["cursor_reset"] is True
-        assert [r["seq"] for r in stale["rows"]] == [r["seq"] for r in full["rows"]]
+        _wait_terminal(remote, job["id"])
+        full = data_rows(remote.iter_job_rows(job["id"]))
+        stale = list(remote.iter_job_rows(job["id"], since=len(full) + 100))
+        assert stale[0]["row"] == "start" and stale[0]["cursor_reset"] is True
+        assert data_rows(stale) == full
+        assert stale[-1]["row"] == "end"
 
     def test_rows_sequence_spans_items(self, remote):
         """A multi-item job has one global seq across items, and each row
@@ -421,40 +442,43 @@ class TestJobRowStreaming:
         job = self._submit(remote, workloads=("gemm", "batched_gemv"))
         job = _wait_terminal(remote, job["id"])
         assert job["status"] == "done", job
-        rows = remote.poll_job(job["id"], since=0)["rows"]
+        rows = data_rows(remote.iter_job_rows(job["id"]))
         assert [row["seq"] for row in rows] == list(range(1, len(rows) + 1))
         items = [row["item"] for row in rows]
         assert set(items) == {0, 1}
         assert items == sorted(items)  # item 0's rows all precede item 1's
 
-    def test_since_without_row_log_is_client_error(self, remote):
-        """Jobs that did not opt into rows reject cursor polls loudly instead
-        of serving an indistinguishable empty page."""
-        job = remote.submit_job(
-            ["batched_gemv"], one_d_only=True, extents=self.EXTENTS
-        )
-        _wait_terminal(remote, job["id"])
-        with pytest.raises(ValueError, match="stream_rows"):
-            remote.poll_job(job["id"], since=0)
-        with pytest.raises(ValueError, match="row log"):
-            list(remote.iter_job_rows(job["id"]))
+    def test_job_without_stream_rows_streams_every_row(self, remote):
+        """Every job keeps its row log: a submit body without the older
+        ``stream_rows`` key still streams one row per design."""
+        job = remote._call(
+            "POST",
+            "/v1/jobs",
+            {
+                "workloads": ["batched_gemv"],
+                "extents": self.EXTENTS,
+                "options": {"one_d_only": True},
+            },
+        )["job"]
+        job = _wait_terminal(remote, job["id"])
+        assert job["status"] == "done", job
+        rows = data_rows(remote.iter_job_rows(job["id"]))
+        (record,) = job["results"]
+        assert len(rows) == record["points"] + record["failures"] > 0
+        assert [row["seq"] for row in rows] == list(range(1, len(rows) + 1))
 
     def test_bad_since_is_client_error(self, remote):
         job = self._submit(remote)
         _wait_terminal(remote, job["id"])
         with pytest.raises(ValueError, match="since"):
-            remote._call("GET", f"/v1/jobs/{job['id']}?since=banana")
+            remote._call("GET", f"/v1/jobs/{job['id']}/rows?since=banana")
 
     def test_tail_stream_long_polls_while_running(self, cached_service):
         """iter_job_rows yields rows *while the job runs*: the stream opens
         before the job finishes and still sees every row through to the end
         frame."""
         remote = RemoteSession(cached_service.url)
-        job = remote.submit_job(
-            ["gemm"],
-            extents={"m": 64, "n": 64, "k": 64},
-            stream_rows=True,
-        )
+        job = remote.submit_job(["gemm"], extents={"m": 64, "n": 64, "k": 64})
         # a second connection tails while the first job may still be queued
         tail = RemoteSession(cached_service.url)
         rows = list(tail.iter_job_rows(job["id"]))
@@ -464,19 +488,17 @@ class TestJobRowStreaming:
         assert data and all(r["row"] in ("point", "failure") for r in data)
         assert [r["seq"] for r in data] == list(range(1, len(data) + 1))
         assert rows[-1]["rows_total"] == len(data)
-        # the tail saw exactly what a terminal cursor poll serves
-        snapshot = remote.poll_job(job["id"], since=0)
-        assert [r["seq"] for r in snapshot["rows"]] == [r["seq"] for r in data]
+        # the live tail saw exactly what the terminal job's log serves
+        assert data_rows(remote.iter_job_rows(job["id"])) == data
         remote.close()
         tail.close()
 
     def test_tail_resumes_from_since_cursor(self, remote):
         job = self._submit(remote)
         _wait_terminal(remote, job["id"])
-        total = remote.poll_job(job["id"], since=0)["rows_total"]
-        resumed = list(remote.iter_job_rows(job["id"], since=total - 1))
-        data = [r for r in resumed if r["row"] in ("point", "failure")]
-        assert [r["seq"] for r in data] == [total]
+        total = len(data_rows(remote.iter_job_rows(job["id"])))
+        resumed = data_rows(remote.iter_job_rows(job["id"], since=total - 1))
+        assert [r["seq"] for r in resumed] == [total]
 
     def test_tail_with_stale_cursor_on_running_job_resets_mid_stream(self):
         """A stale cursor against a *running* job that ends short of it
@@ -492,7 +514,6 @@ class TestJobRowStreaming:
                 id="job-fab",
                 payload={"workloads": ["gemm"]},
                 status="running",
-                keep_rows=True,
                 total_items=1,
             )
             thread.service.jobs[job.id] = job
@@ -516,9 +537,7 @@ class TestJobRowStreaming:
         with ServiceThread(session) as thread:
             remote = RemoteSession(thread.url)
             job = remote.submit_job(
-                ["gemm", "batched_gemv"],
-                extents={"m": 64, "n": 64, "k": 64},
-                stream_rows=True,
+                ["gemm", "batched_gemv"], extents={"m": 64, "n": 64, "k": 64}
             )
             stream = RemoteSession(thread.url).iter_job_rows(job["id"])
             seen = [next(stream)]  # the start frame: the stream is live
@@ -533,12 +552,13 @@ class TestJobRowStreaming:
             assert seen[-1]["row"] == "end"
             assert seen[-1]["status"] == "cancelled"
             # cancellation is cooperative per design: the log holds the rows
-            # that finished, contiguous from 1, and the cursor still pages
-            data = [r for r in seen if r["row"] in ("point", "failure")]
+            # that finished, contiguous from 1, and a fresh stream replays it
+            data = data_rows(seen)
             assert [r["seq"] for r in data] == list(range(1, len(data) + 1))
-            snapshot = remote.poll_job(job["id"], since=0)
-            assert snapshot["status"] == "cancelled"
-            assert snapshot["rows_total"] == seen[-1]["rows_total"]
+            replay = list(remote.iter_job_rows(job["id"]))
+            assert replay[-1]["status"] == "cancelled"
+            assert replay[-1]["rows_total"] == seen[-1]["rows_total"]
+            assert data_rows(replay) == data
 
 
     def test_keepalive_frames_prove_liveness_while_idle(self):
@@ -551,7 +571,6 @@ class TestJobRowStreaming:
                 id="job-idle",
                 payload={"workloads": ["gemm"]},
                 status="running",
-                keep_rows=True,
                 total_items=1,
             )
             thread.service.jobs[job.id] = job
@@ -580,7 +599,6 @@ class TestJobRowStreaming:
                 id="job-quiet",
                 payload={"workloads": ["gemm"]},
                 status="running",
-                keep_rows=True,
                 total_items=1,
             )
             thread.service.jobs[job.id] = job
@@ -602,9 +620,9 @@ class TestJobRowStreaming:
         snapshot = end["job"]
         assert snapshot["status"] == "done"
         assert "rows" not in snapshot  # the rows already streamed
-        data = [r for r in rows if r["row"] in ("point", "failure")]
+        data = data_rows(rows)
         assert data and end["rows_total"] == len(data)
-        assert snapshot["results"] == remote.poll_job(job["id"])["results"]
+        assert snapshot["results"] == remote.job(job["id"])["results"]
 
     def test_stream_leaves_connection_reusable(self, remote):
         """Consuming a row stream to its end frame must drain the chunked
@@ -654,7 +672,7 @@ class TestJobRowStreaming:
         last seen `seq` — every row exactly once, no duplicates, no gaps."""
         job = self._submit(remote)
         _wait_terminal(remote, job["id"])
-        total = remote.poll_job(job["id"], since=0)["rows_total"]
+        total = len(data_rows(remote.iter_job_rows(job["id"])))
         assert total > 4
         # die after the start frame + 3 data rows: resume lands mid-log
         session = self._truncating_session(
@@ -663,7 +681,7 @@ class TestJobRowStreaming:
         rows = list(session.iter_job_rows(job["id"]))
         assert session.dropped  # the fault actually fired
         assert [r["row"] for r in rows[:1]] == ["start"]  # start not re-yielded
-        data = [r for r in rows if r["row"] in ("point", "failure")]
+        data = data_rows(rows)
         assert [r["seq"] for r in data] == list(range(1, total + 1))
         assert rows[-1]["row"] == "end" and rows[-1]["rows_total"] == total
         session.close()

@@ -217,8 +217,7 @@ class TestClientCommands:
 
         remote = RemoteSession(service_url)
         job = remote.submit_job(
-            ["batched_gemv"], one_d_only=True,
-            extents={"m": 8, "n": 8, "k": 8}, stream_rows=True,
+            ["batched_gemv"], one_d_only=True, extents={"m": 8, "n": 8, "k": 8}
         )
         remote.close()
         rc = main(["client", "tail-job", job["id"], "--url", service_url])
