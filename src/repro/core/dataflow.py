@@ -292,6 +292,8 @@ class DataflowSpec:
         self.statement = statement
         self.selected = tuple(selected)
         self.stt = stt
+        #: Set by :func:`repro.core.enumerate.iter_specs` from its block
+        #: classifier; ``None`` until :attr:`flows` solves it otherwise.
         self._flows: tuple[TensorDataflow, ...] | None = None
         #: The design's :func:`repro.core.enumerate.canonical_signature`, set
         #: by canonical enumeration (which computes it in batch) and by the
@@ -301,14 +303,16 @@ class DataflowSpec:
 
     @property
     def flows(self) -> tuple[TensorDataflow, ...]:
-        """Per-tensor dataflows (type + reuse directions), derived lazily.
+        """Per-tensor dataflows (type + reuse directions).
 
-        The reuse-space solve is the expensive part of a spec and nothing a
-        consumer folding streamed rows by their scalar metrics ever touches —
-        deferring it keeps wire reconstruction O(parse).  Local evaluation
-        reads ``flows`` immediately, so it pays the same cost as before.
-        Two evaluation-service executor threads racing on one spec
-        recompute an identical tuple; no lock needed.
+        Enumeration hands its specs the tuple its block classifier already
+        encodes; every other spec (:func:`analyze`, name resolution, cache
+        replay, wire rows) solves it here on first use.  The reuse-space
+        solve is the expensive part of such a spec and nothing a consumer
+        folding streamed rows by their scalar metrics ever touches —
+        deferring it keeps wire reconstruction O(parse).  Two
+        evaluation-service executor threads racing on one spec recompute an
+        identical tuple; no lock needed.
         """
         flows = self._flows
         if flows is None:

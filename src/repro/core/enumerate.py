@@ -18,14 +18,17 @@ only on the loop selection; one block is therefore one integer matrix
 product followed by array ops that orient, classify (Table I), apply the
 dataflow-type and nearest-neighbour filters, and encode each candidate's
 dedupe key as a row of integer codes (with ``canonical=True``, the least
-variant over the 8 array symmetries).  Only the first candidate with a given key — the
-simplest STT representative, since the table is complexity-ordered — becomes
-a :class:`DataflowSpec`, and it carries its canonical key
-(:attr:`DataflowSpec.canonical_key`) so that nothing downstream recomputes
-:func:`canonical_signature`.  User predicates still see every candidate that
-passes the built-in filters, in order, before the dedupe; an
-:class:`EnumerationStats` counter records *why* candidates were dropped, and
-is exact at every yield.
+variant over the 8 array symmetries).  Only the first candidate with a
+given key — the simplest STT representative, since the table is
+complexity-ordered — becomes a :class:`DataflowSpec`.  It carries its
+canonical key (:attr:`DataflowSpec.canonical_key`), so that nothing
+downstream recomputes :func:`canonical_signature`, and its per-tensor flows,
+built from the same block row (the ``T @ d`` columns, their orientation and
+the Table I kind codes), so that nothing re-solves
+:attr:`DataflowSpec.flows`.  User predicates still see every candidate that
+passes the built-in filters, in order, before the dedupe, as specs that
+carry their flows too; an :class:`EnumerationStats` counter records *why*
+candidates were dropped, and is exact at every yield.
 
 :func:`enumerate_specs` / :func:`enumerate_designs` remain as thin eager
 wrappers producing the same designs in the same order.
@@ -39,9 +42,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.dataflow import DataflowSpec, DataflowType, check_selection
+from repro.core.dataflow import DataflowSpec, DataflowType, TensorDataflow, check_selection
 from repro.core.naming import _candidate_matrices
-from repro.core.reuse import orient, reuse_directions
+from repro.core.reuse import ReuseSpace, orient, reuse_directions
 from repro.core.stt import STT
 from repro.ir.einsum import Statement
 
@@ -213,10 +216,10 @@ class _SelectionBlocks:
         dirs = [reuse_directions(acc.restrict(selected)) for acc in statement.accesses]
         starts = itertools.accumulate((len(d) for d in dirs), initial=0)
         self.groups = [(s, len(d)) for s, d in zip(starts, dirs)]  # (first column, reuse dim)
-        cols = [v for d in dirs for v in d]
-        self.directions = np.array(cols, dtype=np.int32).reshape(-1, 3).T
+        self.iter_dirs = [v for d in dirs for v in d]
+        self.directions = np.array(self.iter_dirs, dtype=np.int32).reshape(-1, 3).T
         # every component of T @ d is at most bound * sum|d| in magnitude
-        self.radix = 2 * bound * max((sum(map(abs, v)) for v in cols), default=0) + 1
+        self.radix = 2 * bound * max((sum(map(abs, v)) for v in self.iter_dirs), default=0) + 1
         if self.radix**3 > np.iinfo(np.int64).max:
             raise ValueError(f"access coefficients of {statement.name} are too large to enumerate")
 
@@ -286,8 +289,31 @@ class _SelectionBlocks:
             for name, kind, (s, dim) in zip(self.names, kinds, self.groups)
         )
 
-    def spec(self, matrix: np.ndarray) -> DataflowSpec:
-        return DataflowSpec(self.statement, self.selected, STT(matrix.tolist()))
+    def spec(self, matrix: np.ndarray, vecs: np.ndarray, kinds: np.ndarray) -> DataflowSpec:
+        """One candidate's spec, carrying the flows its block row encodes.
+
+        ``vecs`` is the candidate's ``(3, K)`` slice of :meth:`reuse` and
+        ``kinds`` its :meth:`classify` codes.  Each ``T @ d`` column and its
+        ``d`` are negated where :func:`orient` flips the column, which gives
+        the same :class:`ReuseSpace`, in Python ints, as
+        :func:`repro.core.reuse.reuse_space`.
+        """
+        spec = DataflowSpec(self.statement, self.selected, STT(matrix.tolist()))
+        basis, iter_basis = [], []
+        for (p1, p2, dt), d in zip(zip(*vecs.tolist()), self.iter_dirs):
+            if (dt, p1, p2) < (0, 0, 0):  # orient's flip, as in _codes
+                p1, p2, dt, d = -p1, -p2, -dt, tuple(-v for v in d)
+            basis.append((p1, p2, dt))
+            iter_basis.append(d)
+        spec._flows = tuple(
+            TensorDataflow(
+                access=acc,
+                reuse=ReuseSpace(tuple(basis[s : s + dim]), tuple(iter_basis[s : s + dim])),
+                kind=_KINDS[kind],
+            )
+            for acc, kind, (s, dim) in zip(self.statement.accesses, kinds.tolist(), self.groups)
+        )
+        return spec
 
 
 def _tally(stats: EnumerationStats, fates: np.ndarray) -> None:
@@ -351,7 +377,7 @@ def iter_specs(
         for i, key in zip(passing.tolist(), map(tuple, keys)):
             spec = None
             if predicates:
-                spec = blocks.spec(block[i])
+                spec = blocks.spec(block[i], vecs[i], kinds[i])
                 if not all(pred(spec) for pred in predicates):
                     stats.predicate_filtered += 1
                     continue
@@ -360,7 +386,7 @@ def iter_specs(
                 continue
             seen.add(key)
             if spec is None:
-                spec = blocks.spec(block[i])
+                spec = blocks.spec(block[i], vecs[i], kinds[i])
             if canonical:
                 spec.canonical_key = blocks.signature(key, kinds[i].tolist())
             _tally(stats, fates[done : i + 1])

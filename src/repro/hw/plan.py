@@ -21,23 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.dataflow import DataflowSpec, DataflowType
 from repro.hw.controller import StageTiming
 from repro.hw.geometry import Grid
 
 __all__ = ["choose_tile", "StagePlan", "Stage"]
-
-
-def _space_footprint(space_rows, tile: Sequence[int]) -> tuple[int, int]:
-    """Extent of the tile's image under the two space rows (box image)."""
-    spans = []
-    for row in space_rows:
-        lo = sum(min(0, coeff) * (t - 1) for coeff, t in zip(row, tile))
-        hi = sum(max(0, coeff) * (t - 1) for coeff, t in zip(row, tile))
-        spans.append(hi - lo + 1)
-    return (spans[0], spans[1])
 
 
 def choose_tile(spec: DataflowSpec, rows: int, cols: int) -> dict[str, int]:
@@ -60,27 +50,56 @@ def _grow_tile(
     rows: int,
     cols: int,
 ) -> tuple[int, ...]:
-    """:func:`choose_tile`'s search, memoized on the ints it depends on."""
-    dims = (rows, cols)
-    tile = [1] * len(extents)
+    """:func:`choose_tile`'s search, memoized on the ints it depends on.
 
-    def fits(t: Sequence[int]) -> bool:
-        fp = _space_footprint(space_rows, t)
-        return fp[0] <= dims[0] and fp[1] <= dims[1]
-
-    if not fits(tile):
+    Space row ``r`` of a tile spans ``1 + sum_i |row_r[i]| * (t_i - 1)``
+    PEs, so fitting the array is a budget of ``room_r = dims_r - 1`` per row
+    and a +1 step of loop ``i`` spends ``|row_r[i]|`` of it.  A loop with no
+    space coefficient spends nothing and takes its full extent; the others
+    step round-robin while their cost fits both rooms.  A loop that does not
+    fit never fits later, since the rooms only shrink.
+    """
+    room = [rows - 1, cols - 1]
+    if min(room) < 0:
         raise ValueError(f"even a 1x1x1 tile does not fit a {rows}x{cols} array")
-    grew = True
-    while grew:
-        grew = False
-        for i in range(len(tile)):
-            if tile[i] < extents[i]:
-                cand = list(tile)
-                cand[i] += 1
-                if fits(cand):
-                    tile = cand
-                    grew = True
+    costs = [tuple(abs(c) for c in col) for col in zip(*space_rows)]
+    tile = [1 if any(cost) else extent for cost, extent in zip(costs, extents)]
+    growing = [i for i, cost in enumerate(costs) if any(cost) and tile[i] < extents[i]]
+    while growing:
+        still = []
+        for i in growing:
+            c1, c2 = costs[i]
+            if c1 <= room[0] and c2 <= room[1]:
+                room[0] -= c1
+                room[1] -= c2
+                tile[i] += 1
+                if tile[i] < extents[i]:
+                    still.append(i)
+        growing = still
     return tuple(tile)
+
+
+def _checked_tile(spec: DataflowSpec, tile: object) -> dict[str, int]:
+    """A copy of a caller's ``tile``, refused unless it maps exactly the
+    selected loops to ``int`` extents in ``1..extent`` (it may come from a
+    request's options)."""
+    sel = spec.selected_space
+    if not isinstance(tile, Mapping):
+        raise ValueError(
+            f"tile must map the selected loops {sel.names} to ints, got {type(tile).__name__}"
+        )
+    for name in tile:
+        if name not in sel.names:
+            raise ValueError(f"tile names loop {name!r}, which is not one of {sel.names}")
+    for name in sel.names:
+        if name not in tile:
+            raise ValueError(f"tile has no extent for loop {name!r}")
+        value = tile[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"tile extent {value!r} for loop {name!r} is not an int")
+        if not 1 <= value <= sel[name].extent:
+            raise ValueError(f"tile extent {value!r} invalid for loop {name!r}")
+    return dict(tile)
 
 
 @dataclass(frozen=True)
@@ -111,12 +130,8 @@ class StagePlan:
     ):
         self.spec = spec
         self.grid = Grid(rows, cols)
-        self.tile = dict(tile) if tile is not None else choose_tile(spec, rows, cols)
-        sel = spec.selected_space
-        for name in sel.names:
-            if not 1 <= self.tile[name] <= sel[name].extent:
-                raise ValueError(f"tile extent {self.tile[name]} invalid for loop {name!r}")
-        self.tile_extents = tuple(self.tile[n] for n in sel.names)
+        self.tile = choose_tile(spec, rows, cols) if tile is None else _checked_tile(spec, tile)
+        self.tile_extents = tuple(self.tile[n] for n in spec.selected)
 
         # Space image of the local tile box and its normalizing offset.
         space_rows = spec.stt.space_rows

@@ -25,7 +25,6 @@ three analytic effects:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -189,7 +188,15 @@ def _active_pes(
     footprint: tuple[int, int],
 ) -> int:
     """Distinct PE coordinates touched by one (unpacked) tile, memoized on
-    the ints it depends on (the footprint only feeds the huge-tile bound)."""
+    the ints it depends on.
+
+    The tile's image is the Minkowski sum of one segment ``{k * (a, b)}``
+    per loop with space column ``(a, b)``.  Shifted to start at the
+    footprint's corner, every partial sum stays inside the footprint, so a
+    Python int with bit ``p1 * footprint[1] + p2`` per PE holds it without
+    wrapping: each loop ORs one shifted copy per step, and the count is the
+    set bits.
+    """
     # Only loops with a nonzero column in some space row affect placement.
     relevant = [
         i
@@ -201,13 +208,13 @@ def _active_pes(
         count *= tile_extents[i]
     if count > 1_000_000:
         return footprint[0] * footprint[1]
-    seen = set()
-    ranges = [
-        range(tile_extents[i]) if i in relevant else range(1)
-        for i in range(len(tile_extents))
-    ]
-    for x in itertools.product(*ranges):
-        p1 = sum(c * v for c, v in zip(space_rows[0], x))
-        p2 = sum(c * v for c, v in zip(space_rows[1], x))
-        seen.add((p1, p2))
-    return len(seen)
+    stride = footprint[1]
+    image = 1
+    for i in relevant:
+        a, b, t = space_rows[0][i], space_rows[1][i], tile_extents[i]
+        a0, b0 = min(0, a) * (t - 1), min(0, b) * (t - 1)
+        grown = 0
+        for k in range(t):
+            grown |= image << ((k * a - a0) * stride + k * b - b0)
+        image = grown
+    return image.bit_count()

@@ -85,10 +85,12 @@ def _reference_designs(statement, *, selections=None, per_selection_limit=None,
 
 
 def _trace(designs, statement, **options):
-    """``(selection, matrix, stats after this next())`` per yielded design."""
+    """``(selection, matrix, flows, stats after this next())`` per yielded
+    design.  The reference loop's specs solve their flows lazily, so this
+    also pins the flows that enumeration hands over to the lazy solve."""
     stats = EnumerationStats()
     rows = [
-        (spec.selected, spec.stt.matrix, dataclasses.astuple(stats))
+        (spec.selected, spec.stt.matrix, spec.flows, dataclasses.astuple(stats))
         for spec in designs(statement, stats=stats, **options)
     ]
     return rows, dataclasses.astuple(stats)
@@ -120,7 +122,7 @@ def test_one_d_only():
     rows = _assert_same_stream(workloads.by_name("depthwise_conv"), allowed_types=ONE_D_TYPES,
                                selections=[("y", "x", "q"), ("k", "y", "q")],
                                **REALIZABLE_CANONICAL)
-    assert rows and rows[0][2][2] == len(naming._candidate_matrices(1))
+    assert rows and rows[0][3][2] == len(naming._candidate_matrices(1))
 
 
 def test_type_filter_counts_before_realizability():
@@ -129,7 +131,7 @@ def test_type_filter_counts_before_realizability():
     )
     rows = _assert_same_stream(workloads.by_name("depthwise_conv"), allowed_types=no_multicast,
                                realizable_only=True, selections=[("y", "p", "k"), ("k", "y", "q")])
-    _sel, _matrix, (_c, _i, type_filtered, unrealizable, *_rest) = rows[0]
+    _sel, _matrix, _flows, (_c, _i, type_filtered, unrealizable, *_rest) = rows[0]
     assert type_filtered and unrealizable
 
 
@@ -175,7 +177,7 @@ def test_invalid_selection_counts_every_candidate_invalid():
     rows = _assert_same_stream(gemm, selections=[("m", "n", "x"), ("m", "n"), ("k", "m", "n")],
                                per_selection_limit=4, **REALIZABLE_CANONICAL)
     table = len(naming._candidate_matrices(1))
-    candidates, invalid = rows[0][2][:2]  # at the first yield
+    candidates, invalid = rows[0][3][:2]  # at the first yield
     assert invalid == 2 * table < candidates
 
 
@@ -216,9 +218,17 @@ def test_carried_key_is_the_canonical_signature(name):
     for spec in iter_designs(statement, per_selection_limit=8, **REALIZABLE_CANONICAL):
         fresh = DataflowSpec(statement, spec.selected, STT(spec.stt.matrix))
         assert fresh.canonical_key is None
+        assert fresh._flows is None and spec._flows is not None  # handed over, not solved
         assert spec.canonical_key == canonical_signature(fresh)
         assert repr(spec.canonical_key) == repr(canonical_signature(fresh))
         assert all(type(v) is int for row in spec.stt.matrix for v in row)
+        assert repr(spec.flows) == repr(fresh.flows)
+        assert all(
+            type(v) is int
+            for fl in spec.flows
+            for vec in fl.reuse.basis + fl.reuse.iter_basis
+            for v in vec
+        )
 
 
 def test_exact_signature_runs_carry_no_key():

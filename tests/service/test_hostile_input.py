@@ -328,6 +328,52 @@ class TestResolveOptions:
             check_resolve_options(bound=1, limit=24, names=["x"] * (MAX_NAMES + 1))
 
 
+class TestSimTileOption:
+    """The ``sim`` backend's ``tile`` option arrives from outside and goes
+    into ``StagePlan(tile=)``.  Anything but a mapping of exactly the
+    selected loops to ``int`` extents in ``1..extent`` is a structured
+    ``sim``-stage failure naming the loop, never an exception escaping the
+    backend, which would abort a whole ``evaluate_many`` batch."""
+
+    GEMM = {"workload": "gemm", "dataflow": "MNK-SST", "extents": {"m": 4, "n": 4, "k": 4}}
+    BAD_TILES = [
+        pytest.param({"m": 2}, "'n'", id="missing-loop"),
+        pytest.param("2", "tile", id="string"),
+        pytest.param([2, 2, 4], "tile", id="list"),
+        pytest.param({"m": 2.5, "n": 2, "k": 4}, "'m'", id="float"),
+        pytest.param({"m": True, "n": 2, "k": 4}, "'m'", id="bool"),
+        pytest.param({"m": 2, "n": "2", "k": 4}, "'n'", id="string-extent"),
+        pytest.param({"m": 2, "n": 2, "k": 4, "z": 1}, "'z'", id="unknown-loop"),
+        pytest.param({"m": 0, "n": 2, "k": 4}, "'m'", id="zero"),
+        pytest.param({"m": 2, "n": 2, "k": 5}, "'k'", id="past-extent"),
+    ]
+
+    def _request(self, tile=None):
+        options = {} if tile is None else {"tile": tile}
+        return DesignRequest(backend="sim", options=options, **self.GEMM).to_dict()
+
+    @staticmethod
+    def _assert_sim_failure(payload, named):
+        assert payload["ok"] is False, payload
+        assert payload["failure_stage"] == "sim"
+        assert payload["failure_reason"].startswith("ValueError")
+        assert named in payload["failure_reason"]
+
+    @pytest.mark.parametrize("tile, named", BAD_TILES)
+    def test_evaluate_refuses_as_a_sim_failure(self, service, tile, named):
+        status, raw = _post(service, "/v1/evaluate", json.dumps(self._request(tile)).encode())
+        assert status == 200, raw
+        self._assert_sim_failure(json.loads(raw), named)
+
+    def test_one_bad_tile_does_not_abort_a_batch(self, service):
+        body = {"requests": [self._request({"m": 2, "n": 2, "k": 4}), self._request({"m": 2})]}
+        status, raw = _post(service, "/v1/evaluate_many", json.dumps(body).encode())
+        assert status == 200, raw
+        good, bad = json.loads(raw)["results"]
+        assert good["ok"] is True, good
+        self._assert_sim_failure(bad, "'n'")
+
+
 class TestArrayLimits:
     """Every route that takes an ``array`` checks it with one validator
     (``repro.api.types.array_from_dict``) before any model runs."""
