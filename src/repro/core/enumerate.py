@@ -15,20 +15,26 @@ doubling up to 4096, so a consumer that stops after a few designs pays for
 few candidates.  A tensor's reuse directions under ``T`` are ``T @ d`` for
 the integer nullspace ``d`` of its restricted access matrix, which depends
 only on the loop selection; one block is therefore one integer matrix
-product followed by array ops that orient, classify (Table I), apply the
-dataflow-type and nearest-neighbour filters, and encode each candidate's
-dedupe key as a row of integer codes (with ``canonical=True``, the least
-variant over the 8 array symmetries).  Only the first candidate with a
-given key — the simplest STT representative, since the table is
-complexity-ordered — becomes a :class:`DataflowSpec`.  It carries its
-canonical key (:attr:`DataflowSpec.canonical_key`), so that nothing
-downstream recomputes :func:`canonical_signature`, and its per-tensor flows,
-built from the same block row (the ``T @ d`` columns, their orientation and
-the Table I kind codes), so that nothing re-solves
-:attr:`DataflowSpec.flows`.  User predicates still see every candidate that
-passes the built-in filters, in order, before the dedupe, as specs that
-carry their flows too; an :class:`EnumerationStats` counter records *why*
-candidates were dropped, and is exact at every yield.
+product followed by array ops that orient, classify (Table I) and apply the
+dataflow-type and nearest-neighbour filters.  Each block is then deduped in
+two stages, in numpy.  Every passing candidate's oriented reuse vectors are
+encoded as a row of integer codes, and only the first candidate of each
+distinct code row goes on: equal oriented vectors give equal keys.  Those
+candidates get their dedupe key (with ``canonical=True``, the least variant
+over the 8 array symmetries, all 8 computed as one stacked array), and only
+the first candidate with each key — the simplest STT representative, since
+the table is complexity-ordered — reaches Python, which drops the keys of
+earlier blocks and builds a :class:`DataflowSpec` for the rest.  That spec
+carries its canonical key (:attr:`DataflowSpec.canonical_key`), so that
+nothing downstream recomputes :func:`canonical_signature`, and its
+per-tensor flows, built from the same block row (the ``T @ d`` columns,
+their orientation and the Table I kind codes), so that nothing re-solves
+:attr:`DataflowSpec.flows`.  User predicates skip the block dedupe: they
+still see every candidate that passes the built-in filters, in order,
+before the dedupe, as specs that carry their flows too, because a predicate
+may reject a key's first candidate so that a later one survives.  Every
+candidate's fate (passed, or why it was dropped) is one block array, which
+keeps the :class:`EnumerationStats` counters exact at every yield.
 
 :func:`enumerate_specs` / :func:`enumerate_designs` remain as thin eager
 wrappers producing the same designs in the same order.
@@ -58,6 +64,7 @@ __all__ = [
     "EnumerationStats",
     "is_realizable",
     "canonical_signature",
+    "check_limit",
 ]
 
 #: A composable pruning predicate: keep the spec when it returns True.
@@ -118,6 +125,12 @@ def canonical_signature(spec: DataflowSpec) -> tuple:
             per_tensor.append((fl.tensor_name, fl.kind.value, tuple(basis)))
         variants.append(tuple(per_tensor))
     return min(variants)
+
+
+def check_limit(limit: object, name: str = "limit") -> None:
+    """Refuse a design limit that is not ``None`` or an ``int`` of at least 1."""
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
+        raise ValueError(f"{name} must be null or an integer >= 1, got {limit!r}")
 
 
 def loop_selections(statement: Statement) -> Iterator[tuple[str, ...]]:
@@ -185,17 +198,18 @@ _MAX_BLOCK = 4096
 _KINDS = tuple(DataflowType)
 _CODE = {kind: code for code, kind in enumerate(_KINDS)}
 
-#: A block candidate's fate under the built-in filters, in filter order.
-_PASS, _WRONG_TYPE, _UNREALIZABLE = 0, 1, 2
+#: A block candidate's fate, in filter order: it passed, or a built-in
+#: filter, a user predicate or the dedupe rejected it.
+_PASS, _WRONG_TYPE, _UNREALIZABLE, _PREDICATE, _DUPLICATE = range(5)
 
 
-def _lex_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise lexicographic minimum of two equal-shape 2-D int arrays."""
-    if not a.shape[1]:
-        return a
-    col = (a != b).argmax(axis=1)
-    rows = np.arange(len(a))
-    return np.where((b[rows, col] < a[rows, col])[:, None], b, a)
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row."""
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[first])
 
 
 class _SelectionBlocks:
@@ -261,18 +275,29 @@ class _SelectionBlocks:
     def keys(self, vecs: np.ndarray, canonical: bool) -> np.ndarray:
         """``(B, K)`` dedupe keys: the oriented reuse vectors, or with
         ``canonical`` the least variant over the array symmetries, each
-        tensor's vectors sorted (as :func:`canonical_signature` does)."""
+        tensor's vectors sorted (as :func:`canonical_signature` does).
+
+        The 8 variants are one ``(8, B, K)`` array, and the least is taken
+        column by column among the variants still tied.  A canonical key
+        depends only on the oriented vectors, so :func:`iter_specs` keys
+        only the first row of each distinct oriented code row.
+        """
         vecs = vecs.astype(np.int64)
         p1, p2, dt = vecs[:, 0], vecs[:, 1], vecs[:, 2]
         if not canonical:
             return self._codes(p1, p2, dt)
-        best = None
-        for (a, b), (c, d) in _ARRAY_SYMMETRIES:
-            codes = self._codes(a * p1 + b * p2, c * p1 + d * p2, dt)
-            for s, dim in self.groups:
-                if dim > 1:
-                    codes[:, s : s + dim].sort(axis=1)
-            best = codes if best is None else _lex_min(best, codes)
+        # each symmetry entry as an (8, 1, 1) column, to broadcast over (B, K)
+        a, b, c, d = np.array(_ARRAY_SYMMETRIES, dtype=np.int64).reshape(8, 4).T[:, :, None, None]
+        codes = self._codes(a * p1 + b * p2, c * p1 + d * p2, dt)
+        for s, dim in self.groups:
+            if dim > 1:
+                codes[..., s : s + dim].sort(axis=-1)
+        best = np.empty_like(codes[0])
+        tied = np.ones(codes.shape[:2], dtype=bool)
+        for col in range(codes.shape[2]):
+            column = np.where(tied, codes[:, :, col], np.iinfo(np.int64).max)
+            best[:, col] = column.min(axis=0)
+            tied &= column == best[:, col]
         return best
 
     def signature(self, key: tuple[int, ...], kinds: Sequence[int]) -> tuple:
@@ -298,7 +323,7 @@ class _SelectionBlocks:
         the same :class:`ReuseSpace`, in Python ints, as
         :func:`repro.core.reuse.reuse_space`.
         """
-        spec = DataflowSpec(self.statement, self.selected, STT(matrix.tolist()))
+        spec = DataflowSpec(self.statement, self.selected, STT.trusted(matrix.tolist()))
         basis, iter_basis = [], []
         for (p1, p2, dt), d in zip(zip(*vecs.tolist()), self.iter_dirs):
             if (dt, p1, p2) < (0, 0, 0):  # orient's flip, as in _codes
@@ -317,10 +342,13 @@ class _SelectionBlocks:
 
 
 def _tally(stats: EnumerationStats, fates: np.ndarray) -> None:
-    """Count a run of candidates and their built-in-filter rejections."""
+    """Count a run of candidates and their rejections."""
+    counts = np.bincount(fates, minlength=_DUPLICATE + 1).tolist()
     stats.candidates += len(fates)
-    stats.type_filtered += int(np.count_nonzero(fates == _WRONG_TYPE))
-    stats.unrealizable += int(np.count_nonzero(fates == _UNREALIZABLE))
+    stats.type_filtered += counts[_WRONG_TYPE]
+    stats.unrealizable += counts[_UNREALIZABLE]
+    stats.predicate_filtered += counts[_PREDICATE]
+    stats.duplicates += counts[_DUPLICATE]
 
 
 def iter_specs(
@@ -346,6 +374,7 @@ def iter_specs(
     ``predicates`` are extra user filters applied after the built-in ones and
     before the dedupe; ``stats`` tallies every rejection reason.
     """
+    check_limit(limit)
     stats = stats if stats is not None else EnumerationStats()
     table = _candidate_matrices(bound)
     try:
@@ -371,18 +400,30 @@ def iter_specs(
             fates[(np.abs(vecs) > 1).any(axis=(1, 2))] = _UNREALIZABLE
         if allowed is not None:
             fates[~allowed[kinds].all(axis=1)] = _WRONG_TYPE
-        passing = np.flatnonzero(fates == _PASS)
-        keys = blocks.keys(vecs[passing], canonical).tolist()
+        rows = np.flatnonzero(fates == _PASS)
+        if predicates:
+            # a predicate sees every passing candidate, in order, and may
+            # reject a key's first occurrence so that a later one survives
+            keys = blocks.keys(vecs[rows], canonical)
+        else:
+            # equal oriented codes give equal keys: key only each code row's
+            # first candidate, then keep each key's first candidate
+            fates[rows] = _DUPLICATE
+            rows = rows[_first_rows(blocks.keys(vecs[rows], False))]
+            keys = blocks.keys(vecs[rows], canonical)
+            first = _first_rows(keys)
+            rows, keys = rows[first], keys[first]
+            fates[rows] = _PASS
         done = 0
-        for i, key in zip(passing.tolist(), map(tuple, keys)):
+        for i, key in zip(rows.tolist(), map(tuple, keys.tolist())):
             spec = None
             if predicates:
                 spec = blocks.spec(block[i], vecs[i], kinds[i])
                 if not all(pred(spec) for pred in predicates):
-                    stats.predicate_filtered += 1
+                    fates[i] = _PREDICATE
                     continue
             if key in seen:
-                stats.duplicates += 1
+                fates[i] = _DUPLICATE
                 continue
             seen.add(key)
             if spec is None:
@@ -466,6 +507,7 @@ def iter_designs(
     ``(m, n, k)`` and ``(n, m, k)`` relabel the same hardware, so only sorted
     selections are swept.
     """
+    check_limit(per_selection_limit, "per_selection_limit")
     stats = stats if stats is not None else EnumerationStats()
     seen: set[tuple] = set()
     chosen = selections if selections is not None else loop_selections(statement)

@@ -34,7 +34,7 @@ from typing import Any, Mapping, NoReturn
 
 from repro.api.types import SchemaVersionError, array_from_dict
 from repro.core.dataflow import DataflowSpec
-from repro.core.enumerate import EnumerationStats
+from repro.core.enumerate import EnumerationStats, check_limit
 from repro.core.naming import check_bound
 from repro.core.stt import STT
 from repro.explore.engine import (
@@ -151,8 +151,9 @@ def engine_options(payload: Mapping[str, Any]) -> dict[str, Any]:
 
     Shared by the server (validating incoming payloads) and the sweep
     coordinator (validating before anything is submitted), so both ends
-    reject the same unknown names, and a ``bound`` outside
-    ``1..MAX_BOUND``, with the same message.
+    reject the same unknown names, a ``bound`` outside ``1..MAX_BOUND``, a
+    flag that is not a boolean and a ``per_selection_limit`` that is not
+    null or an integer >= 1, with the same message.
     """
     options = payload.get("options") or {}
     unknown = sorted(set(options) - set(ENGINE_OPTIONS))
@@ -165,6 +166,10 @@ def engine_options(payload: Mapping[str, Any]) -> dict[str, Any]:
         # the candidate table grows as (2 * bound + 1) ** 9 and is cached for
         # the life of the process: refuse a large bound before any work
         check_bound(out["bound"])
+    for flag in ("one_d_only", "realizable_only", "canonical"):
+        if flag in out and not isinstance(out[flag], bool):
+            raise ValueError(f"{flag} must be a boolean, got {out[flag]!r}")
+    check_limit(out.get("per_selection_limit"), "per_selection_limit")
     if out.get("selections") is not None:
         out["selections"] = [tuple(sel) for sel in out["selections"]]
     return out

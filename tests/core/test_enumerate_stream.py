@@ -7,18 +7,24 @@ candidate, :func:`is_realizable`, :func:`canonical_signature` and a seen-set
 :class:`EnumerationStats` field after each ``next()``, and on the canonical
 key each survivor carries.  The full Depthwise, Conv2D, MTTKRP and TTMc
 reference runs take 14–33 s each, so only their limited runs are here; the
-benchmark's output digests cover the full sweeps.
+benchmark's output digests cover the full sweeps.  The block dedupe computes
+canonical keys only for the first candidate of each oriented-code row, so
+the key function itself is also pinned, on every row, to the per-symmetry
+loop kept here.
 """
 
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.core import linalg, naming
 from repro.core.dataflow import DataflowSpec, DataflowType
 from repro.core.enumerate import (
+    _ARRAY_SYMMETRIES,
     EnumerationStats,
+    _SelectionBlocks,
     canonical_signature,
     is_realizable,
     iter_designs,
@@ -30,11 +36,11 @@ from repro.ir import workloads
 from repro.ir.einsum import parse_statement
 
 
-def _reference_specs(statement, selected, *, limit, allowed_types, realizable_only,
+def _reference_specs(statement, selected, *, bound=1, limit, allowed_types, realizable_only,
                      canonical, predicates, stats):
     seen = set()
     count = 0
-    for stt in naming.stt_candidates(1):
+    for stt in naming.stt_candidates(bound):
         stats.candidates += 1
         try:
             spec = DataflowSpec(statement, selected, stt)
@@ -62,7 +68,7 @@ def _reference_specs(statement, selected, *, limit, allowed_types, realizable_on
             return
 
 
-def _reference_designs(statement, *, selections=None, per_selection_limit=None,
+def _reference_designs(statement, *, selections=None, bound=1, per_selection_limit=None,
                        allowed_types=None, realizable_only=False, canonical=False,
                        predicates=(), stats):
     seen = set()
@@ -71,7 +77,8 @@ def _reference_designs(statement, *, selections=None, per_selection_limit=None,
         chosen = sorted({tuple(sorted(sel)) for sel in chosen})
     for sel in chosen:
         for spec in _reference_specs(
-            statement, tuple(sel), limit=per_selection_limit, allowed_types=allowed_types,
+            statement, tuple(sel), bound=bound, limit=per_selection_limit,
+            allowed_types=allowed_types,
             realizable_only=realizable_only, canonical=canonical, predicates=predicates,
             stats=stats,
         ):
@@ -158,6 +165,19 @@ def test_unusual_reuse_shapes(formula, extents, options):
     _assert_same_stream(parse_statement(formula, **extents), **options)
 
 
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "exact"])
+@pytest.mark.parametrize("realizable_only", [True, False], ids=["realizable", "unfiltered"])
+@pytest.mark.parametrize("name, selection", [
+    pytest.param("gemm", ("k", "m", "n"), id="gemm-kmn"),
+    pytest.param("depthwise_conv", ("p", "q", "x"), id="depthwise-pqx"),
+])
+def test_bound_2_at_limit_60(name, selection, realizable_only, canonical):
+    # bound 2 doubles the radix of the dedupe codes
+    _assert_same_stream(workloads.by_name(name), selections=[selection], bound=2,
+                        per_selection_limit=60, realizable_only=realizable_only,
+                        canonical=canonical)
+
+
 def test_two_orderings_of_one_loop_set_dedupe_across_selections():
     gemm = workloads.gemm(8, 8, 8)
     rows = _assert_same_stream(gemm, selections=[("m", "n", "k"), ("n", "m", "k")],
@@ -229,6 +249,60 @@ def test_carried_key_is_the_canonical_signature(name):
             for vec in fl.reuse.basis + fl.reuse.iter_basis
             for v in vec
         )
+
+
+def _lex_min(a, b):
+    """Row-wise lexicographic minimum of two equal-shape 2-D int arrays."""
+    if not a.shape[1]:
+        return a
+    col = (a != b).argmax(axis=1)
+    rows = np.arange(len(a))
+    return np.where((b[rows, col] < a[rows, col])[:, None], b, a)
+
+
+def _reference_keys(blocks, vecs):
+    """Canonical keys by one code array per array symmetry, each tensor's
+    codes sorted, keeping the running lexicographic minimum."""
+    vecs = vecs.astype(np.int64)
+    p1, p2, dt = vecs[:, 0], vecs[:, 1], vecs[:, 2]
+    best = None
+    for (a, b), (c, d) in _ARRAY_SYMMETRIES:
+        codes = blocks._codes(a * p1 + b * p2, c * p1 + d * p2, dt)
+        for s, dim in blocks.groups:
+            if dim > 1:
+                codes[:, s : s + dim].sort(axis=1)
+        best = codes if best is None else _lex_min(best, codes)
+    return best
+
+
+def _assert_keys(blocks, vecs):
+    keys = blocks.keys(vecs, canonical=True)
+    assert keys.shape == (len(vecs), blocks.directions.shape[1])
+    assert np.array_equal(keys, _reference_keys(blocks, vecs))
+    # the block dedupe's premise: equal oriented codes give equal canonical keys
+    _, first, inverse = np.unique(blocks.keys(vecs, canonical=False), axis=0,
+                                  return_index=True, return_inverse=True)
+    assert np.array_equal(keys, keys[first[inverse.reshape(-1)]])
+
+
+@pytest.mark.parametrize("name", ["gemm", "depthwise_conv"])
+def test_canonical_key_on_every_realizable_bound_1_candidate(name):
+    statement = workloads.by_name(name)
+    table = naming._candidate_matrices(1)
+    for selection in loop_selections(statement):
+        blocks = _SelectionBlocks(statement, selection, 1)
+        vecs = blocks.reuse(table)
+        _assert_keys(blocks, vecs[(np.abs(vecs) <= 1).all(axis=(1, 2))])
+
+
+@pytest.mark.parametrize("name", ["gemm", "depthwise_conv"])
+def test_canonical_key_on_a_bound_2_sample(name):
+    statement = workloads.by_name(name)
+    table = naming._candidate_matrices(2)
+    rng = np.random.default_rng(2)
+    for selection in loop_selections(statement):
+        blocks = _SelectionBlocks(statement, selection, 2)
+        _assert_keys(blocks, blocks.reuse(table[rng.choice(len(table), 2000, replace=False)]))
 
 
 def test_exact_signature_runs_carry_no_key():

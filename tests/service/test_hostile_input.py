@@ -240,6 +240,78 @@ class TestBoundCap:
                 wire.engine_options({"options": {"bound": bound}})
 
 
+class TestEngineOptions:
+    """The engine options of ``/v1/explore`` and job payloads pass one
+    validator (``wire.engine_options``) before any work: a flag must be a
+    JSON boolean and ``per_selection_limit`` null or an integer >= 1.  The
+    sweep coordinator runs it before it submits, and the library's
+    enumeration refuses the same limits."""
+
+    GEMM = {"workload": "gemm", "extents": {"m": 8, "n": 8, "k": 8},
+            "array": {"rows": 4, "cols": 4}}
+    BAD = [("per_selection_limit", v) for v in (0, -3, True, False, "abc", 1.5, "1")] + [
+        (flag, v)
+        for flag in ("one_d_only", "realizable_only", "canonical")
+        for v in ("false", "no", 0, 1, None)
+    ]
+
+    def _explore(self, service, **options):
+        body = json.dumps(dict(self.GEMM, options=options)).encode()
+        status, raw = _post(service, "/v1/explore", body)
+        if status != 200:
+            return status, json.loads(raw)
+        rows = [json.loads(line) for line in raw.decode().splitlines()]
+        assert [row["row"] for row in rows[:1] + rows[-1:]] == ["start", "stats"], rows
+        return status, [row for row in rows if row["row"] in ("point", "failure", "error")]
+
+    @pytest.mark.parametrize("field, value", BAD)
+    def test_explore_refuses_before_the_stream(self, service, field, value):
+        status, payload = self._explore(service, **{field: value})
+        assert status == 400, payload
+        assert payload["error_type"] == "ValueError"
+        assert field in payload["error"]
+
+    @pytest.mark.parametrize("field, value", BAD)
+    def test_job_submit_refuses(self, service, field, value):
+        body = {"workloads": ["gemm"], "extents": self.GEMM["extents"], "options": {field: value}}
+        status, raw = _post(service, "/v1/jobs", json.dumps(body).encode())
+        assert status == 400, raw
+        payload = json.loads(raw)
+        assert payload["error_type"] == "ValueError"
+        assert field in payload["error"]
+
+    @pytest.mark.parametrize("field, value", BAD)
+    def test_library_refuses(self, service, field, value):
+        from repro.core.enumerate import iter_designs, iter_specs
+        from repro.ir import workloads
+        from repro.service import SweepCoordinator
+
+        with pytest.raises(ValueError, match=field):
+            wire.engine_options({"options": {field: value}})
+        with pytest.raises(ValueError, match=field):
+            SweepCoordinator([service.url]).sweep(["gemm"], **{field: value})
+        if field == "per_selection_limit":
+            gemm = workloads.gemm(8, 8, 8)
+            with pytest.raises(ValueError, match=field):
+                LocalSession(ArrayConfig(rows=4, cols=4)).explore(gemm, **{field: value})
+            with pytest.raises(ValueError, match=field):
+                next(iter_designs(gemm, per_selection_limit=value))
+            with pytest.raises(ValueError, match="limit"):
+                next(iter_specs(gemm, ("m", "n", "k"), limit=value))
+
+    def test_valid_options_still_answer(self, service):
+        status, one = self._explore(service, per_selection_limit=1)
+        assert status == 200 and [row["row"] for row in one] == ["point"], one
+        status, every = self._explore(service, per_selection_limit=None, one_d_only=False,
+                                      realizable_only=True, canonical=True)
+        assert status == 200 and len(every) > 1, every
+        assert all(row["row"] == "point" for row in every)
+        status, exact = self._explore(service, canonical=False, per_selection_limit=2)
+        assert status == 200 and len(exact) > len(one), exact
+        options = {"per_selection_limit": None, "canonical": False}
+        assert wire.engine_options({"options": options}) == options
+
+
 class TestResolveOptions:
     """Name resolution refuses what the docs say it refuses: ``bound`` and
     ``limit`` of wrong type or range, and oversized or wrong-typed
