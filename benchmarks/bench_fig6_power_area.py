@@ -51,8 +51,10 @@ def test_fig6_power_area(benchmark):
     _scatter_summary("(b) Depthwise-Conv2D", dw_points)
 
     # Paper claims:
-    assert 100 <= len(gemm_points) <= 300  # same order as 148
-    assert 20 <= len(dw_points) <= 150  # same order as 33
+    # the measured design counts, pinned exactly: a change to the design set
+    # must update them on purpose (docs/architecture.md explains the gaps)
+    assert len(gemm_points) == 207, f"{len(gemm_points)} GEMM designs (paper: 148)"
+    assert len(dw_points) == 112, f"{len(dw_points)} one-D depthwise designs (paper: 33)"
     # dataflow moves power much more than area
     area_ratio = g_areas[-1] / g_areas[0]
     power_ratio = g_powers[-1] / g_powers[0]

@@ -300,6 +300,8 @@ class DataflowSpec:
         #: engine's replay of a canonical space from its cache, so consumers
         #: need not recompute it; ``None`` for specs built any other way.
         self.canonical_key: tuple | None = None
+        self._name: str | None = None
+        self._directions: tuple | None = None
 
     @property
     def flows(self) -> tuple[TensorDataflow, ...]:
@@ -358,8 +360,29 @@ class DataflowSpec:
 
     @property
     def name(self) -> str:
-        """The paper's dataflow name, e.g. ``MNK-SST``."""
-        return "".join(n.upper() for n in self.selected) + "-" + self.letters
+        """The paper's dataflow name, e.g. ``MNK-SST`` (built once per spec)."""
+        name = self._name
+        if name is None:
+            name = self._name = "".join(n.upper() for n in self.selected) + "-" + self.letters
+        return name
+
+    @property
+    def flow_directions(
+        self,
+    ) -> tuple[tuple[DataflowType, IntVector | None, IntVector | None], ...]:
+        """``(kind, systolic_direction, multicast_direction)`` of each flow,
+        inputs first and the output last.
+
+        The performance and cost models read these per design; deriving them
+        once per spec keeps each flow's directions from being re-derived by
+        every pass that needs them.
+        """
+        directions = self._directions
+        if directions is None:
+            directions = self._directions = tuple(
+                (fl.kind, fl.systolic_direction, fl.multicast_direction) for fl in self.flows
+            )
+        return directions
 
     def signature(self) -> tuple:
         """Hardware-identity key used for design-space deduplication."""

@@ -16,17 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.dataflow import DataflowSpec, DataflowType
-from repro.hw.geometry import Grid
+from repro.hw.geometry import boundary_count, chain_stats, check_dims, line_count
 
 __all__ = ["ResourceCounts", "count_resources"]
-
-_TREE_OUT = (
-    DataflowType.MULTICAST,
-    DataflowType.BROADCAST,
-    DataflowType.MULTICAST_STATIONARY,
-    DataflowType.FULL_REUSE,
-    DataflowType.SYSTOLIC_MULTICAST,
-)
 
 
 @dataclass
@@ -58,121 +50,120 @@ class ResourceCounts:
         self.control_fanout += other.control_fanout
 
 
-def _pe_counts(spec: DataflowSpec) -> tuple[ResourceCounts, set[str]]:
-    """Per-PE primitive counts and the set of control signals required."""
-    c = ResourceCounts()
-    controls: set[str] = set()
-    for flow in spec.input_flows:
-        kind = flow.kind
-        if kind is DataflowType.SYSTOLIC:
-            c.regs += 1
-        elif kind is DataflowType.STATIONARY:
-            c.regs += 2
-            controls.update(("load_en", "swap_in"))
-        elif kind in (DataflowType.MULTICAST_STATIONARY, DataflowType.FULL_REUSE):
-            c.regs += 2
-            controls.update(("load_en", "swap_in"))
-        # direct inputs (multicast/broadcast/unicast/systolic_multicast): none
-    c.muls += len(spec.input_flows) - 1 if len(spec.input_flows) > 1 else 1
-    if len(spec.input_flows) == 1:
-        c.muls = 0  # single input: the operand is the product
-    out = spec.output_flow.kind
-    if out is DataflowType.SYSTOLIC:
-        c.adds += 1
-        c.regs += 1
-    elif out is DataflowType.STATIONARY:
-        c.regs += 2
-        c.adds += 1
-        c.muxes += 2
-        c.logic += 1
-        controls.update(("acc_clear", "swap_out", "drain_en"))
-    elif out is DataflowType.UNICAST:
-        c.regs += 1
-    # tree outputs: product leaves combinationally
-    return c, controls
-
-
 def count_resources(spec: DataflowSpec, rows: int, cols: int, width: int = 16) -> ResourceCounts:
-    """Resource counts for the full array (PEs + interconnect + controller)."""
-    grid = Grid(rows, cols)
-    total = ResourceCounts(width=width)
-    pe, controls = _pe_counts(spec)
-    for f in ("regs", "adds", "muls", "muxes", "logic"):
-        setattr(total, f, getattr(pe, f) * grid.size)
+    """Resource counts for the full array (PEs + interconnect + controller).
+
+    One pass over the design's flows, in plain ints: the per-PE cells and
+    stage-control signals first, scaled to the array, then each flow's
+    interconnect, then the controller.
+    """
+    check_dims(rows, cols)
+    size = rows * cols
+    directions = spec.flow_directions
+    inputs = directions[:-1]
+
+    # ---- per-PE cells and control signals --------------------------------
+    regs = adds = muxes = logic = controls = 0
+    for kind, _, _ in inputs:
+        if kind is DataflowType.SYSTOLIC:
+            regs += 1
+        elif kind in (
+            DataflowType.STATIONARY,
+            DataflowType.MULTICAST_STATIONARY,
+            DataflowType.FULL_REUSE,
+        ):
+            regs += 2  # double buffer, loaded under load_en / swap_in
+            controls = 2
+        # direct inputs (multicast/broadcast/unicast/systolic_multicast): none
+    muls = len(inputs) - 1  # a single input is the product itself
+    kind = directions[-1][0]
+    if kind is DataflowType.SYSTOLIC:
+        adds += 1
+        regs += 1
+    elif kind is DataflowType.STATIONARY:
+        regs += 2
+        adds += 1
+        muxes += 2
+        logic += 1
+        controls += 3  # acc_clear, swap_out, drain_en
+    elif kind is DataflowType.UNICAST:
+        regs += 1
+    # tree outputs: product leaves combinationally
+    regs *= size
+    adds *= size
+    muls *= size
+    muxes *= size
+    logic *= size
+    wire_hops = sram_ports = 0
 
     # ---- interconnect ------------------------------------------------------
-    for flow in spec.flows:
-        kind = flow.kind
+    last = len(inputs)
+    for index, (kind, sy, mc) in enumerate(directions):
+        is_output = index == last
         if kind is DataflowType.SYSTOLIC:
-            s1, s2, dt = flow.systolic_direction
             # entry PEs (inputs) and exit PEs (outputs) are equally many
-            ports = grid.boundary_count((s1, s2))
-            total.regs += (grid.size - ports) * (dt - 1)
-            total.sram_ports_per_cycle += ports
+            ports = boundary_count(rows, cols, sy[0], sy[1])
+            regs += (size - ports) * (sy[2] - 1)
+            sram_ports += ports
         elif kind is DataflowType.UNICAST:
-            total.sram_ports_per_cycle += grid.size
+            sram_ports += size
         elif kind is DataflowType.MULTICAST:
-            mc = (flow.multicast_direction[0], flow.multicast_direction[1])
-            lines = grid.line_count(mc)
-            total.sram_ports_per_cycle += lines
-            if flow.is_output:
+            lines = line_count(rows, cols, mc[0], mc[1])
+            sram_ports += lines
+            if is_output:
                 # Reduction trees are local adder wiring, not long broadcast
                 # tracks — the paper notes tree outputs stay cheap.
-                total.adds += grid.size - lines
-                total.regs += lines  # root registers
+                adds += size - lines
+                regs += lines  # root registers
             else:
                 # lines partition the array: every PE sits on one bus
-                total.bus_wire_hops += grid.size
+                wire_hops += size
         elif kind is DataflowType.BROADCAST:
-            total.sram_ports_per_cycle += 1
-            if flow.is_output:
-                total.adds += grid.size - 1
-                total.regs += 1
+            sram_ports += 1
+            if is_output:
+                adds += size - 1
+                regs += 1
             else:
-                total.bus_wire_hops += grid.size
+                wire_hops += size
         elif kind is DataflowType.FULL_REUSE:
-            if flow.is_output:
-                total.adds += grid.size - 1 + 1  # tree + accumulator add
-                total.regs += 1
-                total.muxes += 1
+            if is_output:
+                adds += size - 1 + 1  # tree + accumulator add
+                regs += 1
+                muxes += 1
             else:
-                total.bus_wire_hops += grid.size  # scalar broadcast to all PEs
+                wire_hops += size  # scalar broadcast to all PEs
         elif kind is DataflowType.MULTICAST_STATIONARY:
-            mc = (flow.multicast_direction[0], flow.multicast_direction[1])
-            lines = grid.line_count(mc)
-            if not flow.is_output:
-                total.bus_wire_hops += grid.size
-            if flow.is_output:
-                total.adds += (grid.size - lines) + lines
-                total.regs += lines
-                total.muxes += lines
-        elif kind is DataflowType.SYSTOLIC_MULTICAST:
-            mc = (flow.multicast_direction[0], flow.multicast_direction[1])
-            sy = flow.systolic_direction
-            lines = grid.line_count(mc)
-            chains, _ = grid.chain_stats(mc, (sy[0], sy[1]))
-            if not flow.is_output:
-                total.bus_wire_hops += grid.size
-            total.sram_ports_per_cycle += chains
-            hops = lines - chains
-            if flow.is_output:
-                total.adds += (grid.size - lines) + hops
-                total.regs += hops * sy[2]
+            lines = line_count(rows, cols, mc[0], mc[1])
+            if is_output:
+                adds += (size - lines) + lines
+                regs += lines
+                muxes += lines
             else:
-                total.regs += hops * sy[2]
+                wire_hops += size
+        elif kind is DataflowType.SYSTOLIC_MULTICAST:
+            lines = line_count(rows, cols, mc[0], mc[1])
+            chains, _ = chain_stats(rows, cols, mc[0], mc[1], sy[0], sy[1])
+            sram_ports += chains
+            hops = lines - chains
+            if is_output:
+                adds += (size - lines) + hops
+            else:
+                wire_hops += size
+            regs += hops * sy[2]
         elif kind is DataflowType.STATIONARY:
-            # column load chains reuse the shadow regs; amortized SRAM traffic
-            total.sram_ports_per_cycle += 0
+            pass  # column load chains reuse the shadow regs; amortized SRAM traffic
         else:  # pragma: no cover
             raise AssertionError(kind)
 
-    # ---- control fanout ----------------------------------------------------
-    total.control_fanout = len(controls) * grid.size
-
-    # ---- controller --------------------------------------------------------
-    total.regs += 10  # stage counter
-    total.adds += 1
-    total.muxes += 1
-    total.logic += 10  # comparators and gates
-
-    return total
+    # ---- controller: stage counter, its adder and mux, comparators/gates ----
+    return ResourceCounts(
+        regs=regs + 10,
+        adds=adds + 1,
+        muls=muls,
+        muxes=muxes + 1,
+        logic=logic + 10,
+        bus_wire_hops=wire_hops,
+        sram_ports_per_cycle=sram_ports,
+        control_fanout=controls * size,
+        width=width,
+    )

@@ -17,6 +17,8 @@ array at 320 MHz lands in the paper's reported ranges (GEMM: 35-63 mW,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from repro.core.dataflow import DataflowSpec
 from repro.cost.counts import ResourceCounts, count_resources
@@ -134,7 +136,9 @@ class CostModel:
             "control": counts.control_fanout * p.area_control_per_pe,
         }
         area["fixed"] = p.area_fixed_mm2 * 1e6
-        area_mm2 = sum(area.values()) / 1e6
+        # Totals add left to right from 0.0, as sum() did up to Python 3.11:
+        # sum() compensates from 3.12 on, which would move their last bits.
+        area_mm2 = reduce(add, area.values(), 0.0) / 1e6
 
         # ---- power ---------------------------------------------------------
         cycles_per_sec = self.freq_mhz * 1e6
@@ -148,7 +152,7 @@ class CostModel:
         }
         power = {k: v * cycles_per_sec / 1e9 for k, v in pj.items()}  # pJ*Hz -> mW
         power["leakage"] = area_mm2 * p.leakage_mw_per_mm2
-        power_mw = sum(power.values())
+        power_mw = reduce(add, power.values(), 0.0)
 
         return CostResult(
             spec_name=spec.name,

@@ -14,25 +14,35 @@ as its raw id; :meth:`Grid.line_index` normalizes raw ids to a dense
 Counts
 ------
 The analytic models read only *how many* boundary PEs, lines and chains a
-direction has, never which ones.  :meth:`Grid.boundary_count` and
-:meth:`Grid.max_steps` are closed forms; :meth:`Grid.line_count` and
-:meth:`Grid.chain_stats` are memoized per ``(rows, cols, direction)`` in
-bounded caches that hold integers only.  The walkers (:meth:`Grid.is_entry`,
-:meth:`Grid.entry_point`, :meth:`Grid.lines`, :meth:`Grid.line_chain`) stay
-uncached: they serve hardware generation and scheduling, and they are the
-reference the counts are tested against.
+direction has, never which ones, and they read them through the module
+functions below, which take plain ints so that a model pass builds no
+:class:`Grid`.  :func:`boundary_count`, :func:`max_steps` and
+:func:`line_count` are closed forms; :func:`chain_stats` walks the set of raw
+line ids and is memoized per ``(rows, cols, mc, sy)`` in a bounded cache that
+holds integers only.  The :class:`Grid` methods of the same names delegate to
+them.  The walkers (:meth:`Grid.is_entry`, :meth:`Grid.entry_point`,
+:meth:`Grid.lines`, :meth:`Grid.line_chain`) stay uncached: they serve
+hardware generation and scheduling, and they are the reference the counts are
+tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterator, Sequence
 
-__all__ = ["Grid", "cross", "Line"]
-
-#: Entries per count memo; a sweep touches a few dozen (grid, direction) keys.
-_MEMO_SIZE = 4096
+__all__ = [
+    "Grid",
+    "cross",
+    "Line",
+    "check_dims",
+    "boundary_count",
+    "max_steps",
+    "line_count",
+    "chain_stats",
+]
 
 
 def cross(p: Sequence[int], d: Sequence[int]) -> int:
@@ -53,8 +63,7 @@ class Grid:
     """A ``rows x cols`` PE array with line/boundary geometry helpers."""
 
     def __init__(self, rows: int, cols: int):
-        if rows <= 0 or cols <= 0:
-            raise ValueError(f"grid needs positive dims, got {rows}x{cols}")
+        check_dims(rows, cols)
         self.rows = rows
         self.cols = cols
 
@@ -104,20 +113,13 @@ class Grid:
         return (p[0] + d[0], p[1] + d[1]) not in self
 
     def boundary_count(self, d: Sequence[int]) -> int:
-        """Number of entry PEs along ``d`` (equally, of exit PEs).
-
-        A PE is *not* an entry exactly when ``p - d`` is in the array too,
-        and those PEs form the overlap of the array with its shift by ``d``.
-        """
-        inner = max(0, self.rows - abs(d[0])) * max(0, self.cols - abs(d[1]))
-        return self.size - inner
+        """Number of entry PEs along ``d`` (equally, of exit PEs)."""
+        return boundary_count(self.rows, self.cols, d[0], d[1])
 
     def max_steps(self, d: Sequence[int]) -> int:
         """Largest ``entry_point(p, d)[1]`` over the array (equally, of
         ``exit_point``): the most ``d``-steps that fit inside it."""
-        if d[0] == 0 and d[1] == 0:
-            raise ValueError("max_steps needs a nonzero direction")
-        return min((n - 1) // abs(x) for n, x in ((self.rows, d[0]), (self.cols, d[1])) if x)
+        return max_steps(self.rows, self.cols, d[0], d[1])
 
     # -- lines -------------------------------------------------------------
     def lines(self, d: Sequence[int]) -> list[Line]:
@@ -136,8 +138,8 @@ class Grid:
         return lines
 
     def line_count(self, d: Sequence[int]) -> int:
-        """``len(self.lines(d))``, memoized per grid shape and direction."""
-        return _line_count(self.rows, self.cols, (int(d[0]), int(d[1])))
+        """``len(self.lines(d))``, in closed form."""
+        return line_count(self.rows, self.cols, d[0], d[1])
 
     def line_index(self, d: Sequence[int]) -> dict[int, int]:
         """Map raw line id -> dense index for direction ``d``."""
@@ -182,23 +184,80 @@ class Grid:
     def chain_stats(self, mc: Sequence[int], sy_space: Sequence[int]) -> tuple[int, int]:
         """``(number of chains, longest chain)`` of :meth:`line_chain`,
         memoized per grid shape and direction pair."""
-        return _chain_stats(
-            self.rows,
-            self.cols,
-            (int(mc[0]), int(mc[1])),
-            (int(sy_space[0]), int(sy_space[1])),
+        return chain_stats(
+            self.rows, self.cols, int(mc[0]), int(mc[1]), int(sy_space[0]), int(sy_space[1])
         )
 
 
-# Module-level memos keyed by plain int tuples, so they never pin a Grid.
-@lru_cache(maxsize=_MEMO_SIZE)
-def _line_count(rows: int, cols: int, d: tuple[int, int]) -> int:
-    return len(Grid(rows, cols).lines(d))
+# ----------------------------------------------------------------------
+# Counts over plain ints, so a model pass never builds a Grid
+# ----------------------------------------------------------------------
+def check_dims(rows: int, cols: int) -> None:
+    """Raise ``ValueError`` unless a ``rows x cols`` array has PEs."""
+    if rows <= 0 or cols <= 0:
+        raise ValueError(f"grid needs positive dims, got {rows}x{cols}")
+
+
+def boundary_count(rows: int, cols: int, d0: int, d1: int) -> int:
+    """Number of entry PEs along ``(d0, d1)`` (equally, of exit PEs).
+
+    A PE is *not* an entry exactly when ``p - d`` is in the array too, and
+    those PEs form the overlap of the array with its shift by ``d``.
+    """
+    inner_rows, inner_cols = rows - abs(d0), cols - abs(d1)
+    if inner_rows <= 0 or inner_cols <= 0:
+        return rows * cols
+    return rows * cols - inner_rows * inner_cols
+
+
+def max_steps(rows: int, cols: int, d0: int, d1: int) -> int:
+    """The most ``(d0, d1)``-steps that fit inside a ``rows x cols`` array."""
+    if d0 == 0:
+        if d1 == 0:
+            raise ValueError("max_steps needs a nonzero direction")
+        return (cols - 1) // abs(d1)
+    if d1 == 0:
+        return (rows - 1) // abs(d0)
+    return min((rows - 1) // abs(d0), (cols - 1) // abs(d1))
+
+
+def line_count(rows: int, cols: int, d0: int, d1: int) -> int:
+    """Number of lines along ``(d0, d1)``.
+
+    PEs share a line exactly when they differ by a multiple of the primitive
+    direction ``d / gcd(d0, d1)``, so each line has one entry PE along it and
+    the count is that direction's :func:`boundary_count`.
+    """
+    if d0 == 0 and d1 == 0:
+        raise ValueError("lines need a nonzero direction")
+    g = gcd(d0, d1)
+    return boundary_count(rows, cols, d0 // g, d1 // g)
+
+
+#: Entries in the chain memo; a sweep touches a few dozen (grid, direction) keys.
+_MEMO_SIZE = 4096
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _chain_stats(
-    rows: int, cols: int, mc: tuple[int, int], sy_space: tuple[int, int]
-) -> tuple[int, int]:
-    chains = Grid(rows, cols).line_chain(mc, sy_space)
-    return len(chains), max(len(chain) for chain in chains)
+def chain_stats(rows: int, cols: int, mc0: int, mc1: int, sy0: int, sy1: int) -> tuple[int, int]:
+    """``(number of chains, longest chain)`` of :meth:`Grid.line_chain` along
+    multicast direction ``(mc0, mc1)`` and systolic hop ``(sy0, sy1)``.
+
+    Walks the set of raw line ids ``{row * mc1 - col * mc0}`` by the shift one
+    hop adds, without building the lines themselves.
+    """
+    shift = sy0 * mc1 - sy1 * mc0
+    if shift == 0:
+        raise ValueError("systolic direction does not cross multicast lines")
+    raw_ids = {r * mc1 - c * mc0 for r in range(rows) for c in range(cols)}
+    chains = longest = 0
+    for raw in raw_ids:
+        if raw - shift not in raw_ids:  # entry line
+            length = 1
+            raw += shift
+            while raw in raw_ids:
+                length += 1
+                raw += shift
+            chains += 1
+            longest = max(longest, length)
+    return chains, longest

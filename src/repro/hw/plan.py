@@ -14,20 +14,26 @@ resources").  The sequential (non-selected) loops contribute further stages.
   must enter the boundary),
 - the :class:`~repro.hw.controller.StageTiming` phase schedule,
 - the enumeration of stages (tile origins x sequential-loop points).
+
+The per-stage numbers come from :func:`stage_geometry`, a pass over plain
+ints that the performance model calls directly, so a design evaluated by
+the models builds no :class:`StagePlan` and each formula has one
+implementation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from repro.core.dataflow import DataflowSpec, DataflowType
 from repro.hw.controller import StageTiming
-from repro.hw.geometry import Grid
+from repro.hw.geometry import Grid, chain_stats, max_steps
 
-__all__ = ["choose_tile", "StagePlan", "Stage"]
+__all__ = ["choose_tile", "plan_ints", "stage_geometry", "stage_count", "StagePlan", "Stage"]
 
 
 def choose_tile(spec: DataflowSpec, rows: int, cols: int) -> dict[str, int]:
@@ -38,9 +44,26 @@ def choose_tile(spec: DataflowSpec, rows: int, cols: int) -> dict[str, int]:
     reduces to "spatial loops tile to the array dimension, the time loop runs
     in full", matching the paper's experiments.
     """
-    sel_space = spec.selected_space
-    tile = _grow_tile(spec.stt.space_rows, sel_space.extents, rows, cols)
-    return dict(zip(sel_space.names, tile))
+    return dict(zip(spec.selected, plan_ints(spec, rows, cols)[0]))
+
+
+def plan_ints(
+    spec: DataflowSpec, rows: int, cols: int
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The ints a plan of ``spec`` on a ``rows x cols`` array starts from:
+    ``(tile, extents, sequential_points)``.
+
+    ``tile`` is :func:`choose_tile`'s pick and ``extents`` the selected
+    loops' extents, both in selection order; ``sequential_points`` counts
+    the points of the remaining loops.  All three are read by position from
+    the statement's space, so no sub-space is built.
+    """
+    space = spec.statement.space
+    all_extents = space.extents
+    extents = tuple([all_extents[i] for i in space.positions(spec.selected)])
+    tile = _grow_tile(spec.stt.space_rows, extents, rows, cols)
+    # the selected loops' extents divide the full volume exactly
+    return tile, extents, math.prod(all_extents) // math.prod(extents)
 
 
 @lru_cache(maxsize=4096)
@@ -77,6 +100,80 @@ def _grow_tile(
                     still.append(i)
         growing = still
     return tuple(tile)
+
+
+def stage_geometry(
+    stt: Sequence[Sequence[int]],
+    tile: Sequence[int],
+    directions: Sequence[tuple],
+    rows: int,
+    cols: int,
+) -> tuple:
+    """The ints of one stage of ``tile`` (selected-loop extents, in
+    selection order) under the 3x3 ``stt`` matrix on a ``rows x cols`` array.
+
+    ``directions`` is the design's :attr:`DataflowSpec.flow_directions`
+    (inputs first, the output last).  Returns ``(space_offset, footprint,
+    t_min, t_span, lead, out_lag, load_len, drain_len)``:
+
+    - the space image of the tile box spans ``footprint`` PEs per space row
+      and is shifted by ``space_offset`` to start at PE ``(0, 0)``; the time
+      row spans ``t_span`` cycles from ``t_min``;
+    - ``lead`` is the worst-case boundary-to-PE travel of a systolic input
+      (how many cycles before first use a value must enter the array), and
+      ``out_lag`` the travel of systolic partial sums from the last compute
+      cycle to the boundary;
+    - stationary inputs load down chains of ``rows`` PEs and bus-loaded ones
+      in one cycle; a stationary output drains over ``rows`` cycles.
+    """
+    s1, s2, s3 = tile[0] - 1, tile[1] - 1, tile[2] - 1
+    spans = []
+    for a, b, c in stt:
+        # a row maps the tile box onto [lo, lo + span): lo sums its negative
+        # terms, and each loop step adds |coefficient| to the span
+        lo = (a * s1 if a < 0 else 0) + (b * s2 if b < 0 else 0) + (c * s3 if c < 0 else 0)
+        spans.append((lo, abs(a) * s1 + abs(b) * s2 + abs(c) * s3 + 1))
+    (lo1, f1), (lo2, f2), (t_min, t_span) = spans
+    if f1 > rows or f2 > cols:
+        raise ValueError(f"tile space footprint {(f1, f2)} exceeds array {rows}x{cols}")
+
+    lead = 0
+    chain_load = bus_load = False
+    for kind, sy, mc in directions[:-1]:
+        if kind is DataflowType.SYSTOLIC or kind is DataflowType.SYSTOLIC_MULTICAST:
+            lead = max(lead, _travel(kind, sy, mc, rows, cols))
+        elif kind is DataflowType.STATIONARY:
+            chain_load = True
+        elif kind is DataflowType.MULTICAST_STATIONARY or kind is DataflowType.FULL_REUSE:
+            bus_load = True
+    kind, sy, mc = directions[-1]
+    if kind is DataflowType.SYSTOLIC or kind is DataflowType.SYSTOLIC_MULTICAST:
+        out_lag = _travel(kind, sy, mc, rows, cols)
+    else:
+        out_lag = 0
+    load_len = rows if chain_load else (1 if bus_load else 0)
+    drain_len = rows if kind is DataflowType.STATIONARY else 0
+    return (-lo1, -lo2), (f1, f2), t_min, t_span, lead, out_lag, load_len, drain_len
+
+
+def stage_count(extents: Sequence[int], tile: Sequence[int], sequential_points: int) -> int:
+    """Stages of a plan: the sequential loops' points times the tiles that
+    cover the selected loops' ``extents``."""
+    n = sequential_points
+    for extent, t in zip(extents, tile):
+        n *= -(-extent // t)
+    return n
+
+
+def _travel(
+    kind: DataflowType, sy: Sequence[int], mc: Sequence[int] | None, rows: int, cols: int
+) -> int:
+    """Cycles a systolic(-multicast) flow takes to cross the array: the most
+    hops that fit, or the longest chain of multicast lines, times the delay."""
+    if kind is DataflowType.SYSTOLIC:
+        return max_steps(rows, cols, sy[0], sy[1]) * sy[2]
+    _, longest = chain_stats(rows, cols, mc[0], mc[1], sy[0], sy[1])
+    return (longest - 1) * sy[2]
 
 
 def _checked_tile(spec: DataflowSpec, tile: object) -> dict[str, int]:
@@ -130,84 +227,25 @@ class StagePlan:
     ):
         self.spec = spec
         self.grid = Grid(rows, cols)
-        self.tile = choose_tile(spec, rows, cols) if tile is None else _checked_tile(spec, tile)
+        chosen, self._extents, self._sequential_points = plan_ints(spec, rows, cols)
+        if tile is None:
+            self.tile = dict(zip(spec.selected, chosen))
+        else:
+            self.tile = _checked_tile(spec, tile)
         self.tile_extents = tuple(self.tile[n] for n in spec.selected)
-
-        # Space image of the local tile box and its normalizing offset.
-        space_rows = spec.stt.space_rows
-        p_lo = []
-        p_hi = []
-        for row in space_rows:
-            lo = sum(min(0, c) * (t - 1) for c, t in zip(row, self.tile_extents))
-            hi = sum(max(0, c) * (t - 1) for c, t in zip(row, self.tile_extents))
-            p_lo.append(lo)
-            p_hi.append(hi)
-        self.space_offset = (-p_lo[0], -p_lo[1])
-        footprint = (p_hi[0] - p_lo[0] + 1, p_hi[1] - p_lo[1] + 1)
-        if footprint[0] > rows or footprint[1] > cols:
-            raise ValueError(
-                f"tile space footprint {footprint} exceeds array {rows}x{cols}"
-            )
-        self.footprint = footprint
-
-        # Stage-local time range.
-        trow = spec.stt.time_row
-        t_lo = sum(min(0, c) * (t - 1) for c, t in zip(trow, self.tile_extents))
-        t_hi = sum(max(0, c) * (t - 1) for c, t in zip(trow, self.tile_extents))
-        self.t_min = t_lo
-        self.t_span = t_hi - t_lo + 1
-
-        # Systolic injection lead: worst-case boundary-to-PE travel time.
-        self.lead = self._compute_lead()
-        # Output flush lag: systolic partial sums computed on the last cycle
-        # still have to travel to the array boundary before collection.
-        self.out_lag = self._compute_out_lag()
-        self.timing = self._compute_timing()
-
-    # ------------------------------------------------------------------
-    def _compute_lead(self) -> int:
-        lead = 0
-        for flow in self.spec.input_flows:
-            if flow.kind is DataflowType.SYSTOLIC:
-                s1, s2, dt = flow.systolic_direction
-                lead = max(lead, self.grid.max_steps((s1, s2)) * dt)
-            elif flow.kind is DataflowType.SYSTOLIC_MULTICAST:
-                lead = max(lead, self._chain_span(flow))
-        return lead
-
-    def _compute_out_lag(self) -> int:
-        flow = self.spec.output_flow
-        if flow.kind is DataflowType.SYSTOLIC:
-            s1, s2, dt = flow.systolic_direction
-            return self.grid.max_steps((s1, s2)) * dt
-        if flow.kind is DataflowType.SYSTOLIC_MULTICAST:
-            return self._chain_span(flow)
-        return 0
-
-    def _chain_span(self, flow) -> int:
-        """Cycles to cross the longest systolic chain of multicast lines."""
-        mc = flow.multicast_direction
-        sy = flow.systolic_direction
-        _, longest = self.grid.chain_stats((mc[0], mc[1]), (sy[0], sy[1]))
-        return (longest - 1) * sy[2]
-
-    def _compute_timing(self) -> StageTiming:
-        has_chain_load = any(
-            fl.kind is DataflowType.STATIONARY for fl in self.spec.input_flows
-        )
-        has_bus_load = any(
-            fl.kind in (DataflowType.MULTICAST_STATIONARY, DataflowType.FULL_REUSE)
-            for fl in self.spec.input_flows
-        )
-        load_len = self.grid.rows if has_chain_load else (1 if has_bus_load else 0)
-        drain_len = (
-            self.grid.rows
-            if self.spec.output_flow.kind is DataflowType.STATIONARY
-            else 0
-        )
+        (
+            self.space_offset,
+            self.footprint,
+            self.t_min,
+            self.t_span,
+            self.lead,
+            self.out_lag,
+            load_len,
+            drain_len,
+        ) = stage_geometry(spec.stt.matrix, self.tile_extents, spec.flow_directions, rows, cols)
         # +1 flush for registered outputs, +out_lag for systolic exit travel.
         exec_len = self.lead + self.t_span + 1 + self.out_lag
-        return StageTiming(load_len=load_len, exec_len=exec_len, drain_len=drain_len)
+        self.timing = StageTiming(load_len=load_len, exec_len=exec_len, drain_len=drain_len)
 
     # ------------------------------------------------------------------
     def local_points(self) -> Iterator[tuple[int, ...]]:
@@ -250,11 +288,7 @@ class StagePlan:
                 index += 1
 
     def n_stages(self) -> int:
-        sel = self.spec.selected_space
-        n = self.spec.sequential_space.volume()
-        for name in sel.names:
-            n *= -(-sel[name].extent // self.tile[name])
-        return n
+        return stage_count(self._extents, self.tile_extents, self._sequential_points)
 
     def total_cycles(self) -> int:
         return self.n_stages() * self.timing.total

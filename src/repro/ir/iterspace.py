@@ -52,6 +52,7 @@ class IterationSpace:
             raise ValueError("iteration space needs at least one iterator")
         self._iterators = tuple(iterators)
         self._index = {it.name: pos for pos, it in enumerate(self._iterators)}
+        self._extents = tuple(it.extent for it in self._iterators)
 
     @classmethod
     def from_extents(cls, **extents: int) -> "IterationSpace":
@@ -71,7 +72,7 @@ class IterationSpace:
 
     @property
     def extents(self) -> tuple[int, ...]:
-        return tuple(it.extent for it in self._iterators)
+        return self._extents
 
     @property
     def rank(self) -> int:
@@ -109,7 +110,10 @@ class IterationSpace:
             raise KeyError(f"no iterator {name!r} in {self.names}") from None
 
     def positions(self, names: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.position(n) for n in names)
+        try:
+            return tuple(map(self._index.__getitem__, names))
+        except KeyError as exc:
+            raise KeyError(f"no iterator {exc.args[0]!r} in {self.names}") from None
 
     def volume(self) -> int:
         """Number of points (total MAC operations of the kernel)."""

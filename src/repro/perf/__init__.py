@@ -2,8 +2,9 @@
 
 The functional simulator executes real netlists but cannot run paper-scale
 workloads (a 16x16 array over ResNet layers); this package models execution
-cycles analytically using the *same* :class:`~repro.hw.plan.StagePlan`
-machinery the hardware uses, adding the effects the paper discusses:
+cycles analytically from the *same* stage geometry
+(:func:`~repro.hw.plan.stage_geometry`, which :class:`~repro.hw.plan.StagePlan`
+is built from) the hardware uses, adding the effects the paper discusses:
 
 - pipeline fill/drain skew of systolic dataflows vs multicast,
 - double-buffered overlap of stationary load/drain with compute,

@@ -6,9 +6,11 @@ ideal fully-utilized array divided by modelled cycles::
     peak_cycles = total_MACs / (rows * cols)
     normalized  = peak_cycles / modelled_cycles          (<= 1)
 
-The model composes per-stage costs from the :class:`~repro.hw.plan.StagePlan`
-geometry (the same tiling/lead/lag used to build the real controller) with
-three analytic effects:
+The model composes per-stage costs from the stage geometry that
+:class:`~repro.hw.plan.StagePlan` is built from (the same tiling/lead/lag used
+to build the real controller, read through :func:`~repro.hw.plan.plan_ints`
+and :func:`~repro.hw.plan.stage_geometry` as plain ints, so a design costs
+one pass and no plan object) with three analytic effects:
 
 1. **Packing** — when a spatial loop's extent is smaller than the array
    dimension, several copies are packed side by side (paper: "XYP-SMM ...
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.core.dataflow import DataflowSpec, DataflowType
-from repro.hw.plan import StagePlan
+from repro.hw.geometry import boundary_count, chain_stats, check_dims, line_count
+from repro.hw.plan import plan_ints, stage_count, stage_geometry
 
 __all__ = ["ArrayConfig", "PerfResult", "PerfModel"]
 
@@ -92,33 +95,58 @@ class PerfModel:
     # ------------------------------------------------------------------
     def evaluate(self, spec: DataflowSpec) -> PerfResult:
         cfg = self.config
-        plan = StagePlan(spec, cfg.rows, cfg.cols)
-        timing = plan.timing
+        rows, cols = cfg.rows, cfg.cols
+        check_dims(rows, cols)
+        tile, extents, sequential_points = plan_ints(spec, rows, cols)
+        stt = spec.stt
+        directions = spec.flow_directions
+        _, footprint, _, t_span, lead, out_lag, load_len, drain_len = stage_geometry(
+            stt.matrix, tile, directions, rows, cols
+        )
 
         # --- spatial utilization and packing -----------------------------
-        f1, f2 = plan.footprint
+        f1, f2 = footprint
         if self.allow_packing:
-            packed1 = (cfg.rows // f1) * f1 if f1 < cfg.rows else f1
-            packed2 = (cfg.cols // f2) * f2 if f2 < cfg.cols else f2
+            packed1 = (rows // f1) * f1 if f1 < rows else f1
+            packed2 = (cols // f2) * f2 if f2 < cols else f2
         else:
             packed1, packed2 = f1, f2
         pack_factor = (packed1 // f1) * (packed2 // f2)
-        active_pes = _active_pes(spec.stt.space_rows, plan.tile_extents, plan.footprint)
+        active_pes = _active_pes(stt.space_rows, tile, footprint)
         active_pes *= pack_factor
         utilization = active_pes / cfg.pes
 
         # --- per-stage cycles --------------------------------------------
         # Skew: systolic fill (lead) + output flush (out_lag) + epilogue.
-        skew = plan.lead + plan.out_lag + 1
-        exec_cycles = plan.t_span
+        skew = lead + out_lag + 1
+        exec_cycles = t_span
         # Double buffering overlaps load/drain with the next stage's compute.
-        stage_cycles = max(exec_cycles, timing.load_len, timing.drain_len) + skew
+        stage_cycles = max(exec_cycles, load_len, drain_len) + skew
 
         # --- stage count (packing folds stages together) -------------------
-        n_stages = plan.n_stages() / pack_factor
+        n_stages = stage_count(extents, tile, sequential_points) / pack_factor
 
         # --- bandwidth stall -----------------------------------------------
-        demand = self._elements_per_cycle(spec, plan, active_pes)
+        # Average on-chip traffic during the execute phase, in elements.
+        demand = 0.0
+        for kind, sy, mc in directions:
+            if kind is DataflowType.UNICAST:
+                demand += active_pes  # every PE hits the buffer every cycle
+            elif kind is DataflowType.SYSTOLIC:
+                demand += boundary_count(rows, cols, sy[0], sy[1])
+            elif kind is DataflowType.MULTICAST:
+                demand += line_count(rows, cols, mc[0], mc[1])
+            elif kind is DataflowType.BROADCAST or kind is DataflowType.FULL_REUSE:
+                demand += 1
+            elif kind is DataflowType.STATIONARY:
+                # One tile of held values streamed once per stage.
+                demand += active_pes / exec_cycles
+            elif kind is DataflowType.MULTICAST_STATIONARY:
+                demand += line_count(rows, cols, mc[0], mc[1]) / exec_cycles
+            elif kind is DataflowType.SYSTOLIC_MULTICAST:
+                demand += chain_stats(rows, cols, mc[0], mc[1], sy[0], sy[1])[0]
+            else:  # pragma: no cover
+                raise AssertionError(kind)
         stall = max(1.0, demand / cfg.elements_per_cycle)
 
         cycles = n_stages * stage_cycles * stall
@@ -136,49 +164,13 @@ class PerfModel:
             breakdown={
                 "skew": skew,
                 "exec": exec_cycles,
-                "load": timing.load_len,
-                "drain": timing.drain_len,
+                "load": load_len,
+                "drain": drain_len,
                 "demand_elems_per_cycle": demand,
                 "freq_mhz": cfg.freq_mhz,
                 "pack_factor": pack_factor,
             },
         )
-
-    # ------------------------------------------------------------------
-    def _elements_per_cycle(
-        self, spec: DataflowSpec, plan: StagePlan, active_pes: int
-    ) -> float:
-        """Average on-chip traffic during the execute phase, in elements."""
-        grid = plan.grid
-        exec_cycles = max(1, plan.t_span)
-        demand = 0.0
-        for flow in spec.flows:
-            kind = flow.kind
-            if kind is DataflowType.UNICAST:
-                demand += active_pes  # every PE hits the buffer every cycle
-            elif kind is DataflowType.SYSTOLIC:
-                s = flow.systolic_direction
-                demand += grid.boundary_count((s[0], s[1]))
-            elif kind in (DataflowType.MULTICAST,):
-                demand += grid.line_count((flow.multicast_direction[0], flow.multicast_direction[1]))
-            elif kind in (DataflowType.BROADCAST, DataflowType.FULL_REUSE):
-                demand += 1
-            elif kind is DataflowType.STATIONARY:
-                # One tile of held values streamed once per stage.
-                demand += active_pes / exec_cycles
-            elif kind is DataflowType.MULTICAST_STATIONARY:
-                mc = flow.multicast_direction
-                demand += grid.line_count((mc[0], mc[1])) / exec_cycles
-            elif kind is DataflowType.SYSTOLIC_MULTICAST:
-                mc = flow.multicast_direction
-                chains, _ = grid.chain_stats(
-                    (mc[0], mc[1]),
-                    (flow.systolic_direction[0], flow.systolic_direction[1]),
-                )
-                demand += chains
-            else:  # pragma: no cover
-                raise AssertionError(kind)
-        return demand
 
 
 @lru_cache(maxsize=4096)

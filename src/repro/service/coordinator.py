@@ -406,6 +406,9 @@ class SweepCoordinator:
             list(configs) if configs is not None else [self.array]
         )
         shards = self._partition(workloads, config_list)
+        for shard in shards:
+            for item in shard.items:
+                wire.check_selections(item.statement, options.get("selections"))
         total_items = sum(len(shard.items) for shard in shards)
         self.last_report = {
             "shards": len(shards),

@@ -677,6 +677,7 @@ class EvaluationService:
             wire.array_from_dict(payload["array"]) if payload.get("array") else None
         )
         options = _engine_options(payload)
+        wire.check_selections(statement, options.get("selections"))
         engine = self.session.engine_for(array)
 
         loop = asyncio.get_running_loop()
@@ -738,7 +739,7 @@ class EvaluationService:
     # -- jobs -------------------------------------------------------------
     def _submit_job(self, payload: Mapping[str, Any], writer) -> None:
         items = wire.job_items(payload)  # validates the workloads list shape
-        _engine_options(payload)  # validate option names up front
+        options = _engine_options(payload)  # validate option names up front
         # every job keeps its row log, so the value is ignored; clients send
         # it for older servers, and outside input is still type-checked
         if not isinstance(payload.get("stream_rows", False), bool):
@@ -755,7 +756,7 @@ class EvaluationService:
                     self._json_response(writer, 202, {"job": existing.snapshot()})
                     return
         for item in items:
-            wire.instantiate_statement(item)
+            wire.check_selections(wire.instantiate_statement(item), options.get("selections"))
         configs = payload.get("configs") or []
         for config in configs:
             wire.array_from_dict(config)

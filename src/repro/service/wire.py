@@ -33,7 +33,7 @@ import json
 from typing import Any, Mapping, NoReturn
 
 from repro.api.types import SchemaVersionError, array_from_dict
-from repro.core.dataflow import DataflowSpec
+from repro.core.dataflow import DataflowSpec, check_selection
 from repro.core.enumerate import EnumerationStats, check_limit
 from repro.core.naming import check_bound
 from repro.core.stt import STT
@@ -55,6 +55,7 @@ __all__ = [
     "ServiceBusyError",
     "bounded_body",
     "engine_options",
+    "check_selections",
     "statement_payload",
     "instantiate_statement",
     "job_items",
@@ -152,8 +153,10 @@ def engine_options(payload: Mapping[str, Any]) -> dict[str, Any]:
     Shared by the server (validating incoming payloads) and the sweep
     coordinator (validating before anything is submitted), so both ends
     reject the same unknown names, a ``bound`` outside ``1..MAX_BOUND``, a
-    flag that is not a boolean and a ``per_selection_limit`` that is not
-    null or an integer >= 1, with the same message.
+    flag that is not a boolean, a ``per_selection_limit`` that is not null
+    or an integer >= 1 and ``selections`` that are not lists of loop names,
+    with the same message.  Which loops a selection may name depends on the
+    statement: :func:`check_selections` checks that.
     """
     options = payload.get("options") or {}
     unknown = sorted(set(options) - set(ENGINE_OPTIONS))
@@ -170,9 +173,38 @@ def engine_options(payload: Mapping[str, Any]) -> dict[str, Any]:
         if flag in out and not isinstance(out[flag], bool):
             raise ValueError(f"{flag} must be a boolean, got {out[flag]!r}")
     check_limit(out.get("per_selection_limit"), "per_selection_limit")
-    if out.get("selections") is not None:
-        out["selections"] = [tuple(sel) for sel in out["selections"]]
+    selections = out.get("selections")
+    if selections is not None:
+        if not isinstance(selections, (list, tuple)) or not all(
+            isinstance(sel, (list, tuple)) and all(isinstance(name, str) for name in sel)
+            for sel in selections
+        ):
+            raise ValueError(
+                f"selections must be a list of lists of loop names, got {selections!r}"
+            )
+        out["selections"] = [tuple(sel) for sel in selections]
     return out
+
+
+def check_selections(statement: Statement, selections: Any) -> None:
+    """Refuse ``selections`` (as :func:`engine_options` returns them) unless
+    every entry names 3 distinct loops of ``statement`` and none repeats.
+
+    The library enumerates such entries anyway (a bad one yields nothing, a
+    repeated one re-enumerates the whole candidate table); a request must
+    say what it means, so the service and the sweep coordinator check here,
+    where the statement is instantiated.
+    """
+    seen: set[tuple[str, ...]] = set()
+    for sel in selections or ():
+        try:
+            check_selection(statement, sel)
+        except ValueError as exc:
+            raise ValueError(f"selection {list(sel)!r}: {exc}") from None
+        key = tuple(sel)
+        if key in seen:
+            raise ValueError(f"selection {list(sel)!r} is repeated")
+        seen.add(key)
 
 
 # ----------------------------------------------------------------------

@@ -163,15 +163,28 @@ class TestFailureModes:
             session.sweep(WORKLOADS, **SWEEP_KW)
         session.close()
 
-    def test_shard_failure_budget_raises(self, fleet):
-        """A shard that keeps failing must raise, never silently drop work."""
+    @pytest.mark.parametrize("status", ["failed", "cancelled"])
+    def test_shard_failure_budget_raises(self, fleet, status):
+        """A shard whose jobs keep ending failed or cancelled must raise,
+        never silently drop work (both are retryable job failures, not a
+        lost server)."""
         a, _ = fleet
 
         class AlwaysFailJobs(RemoteSession):
-            def submit_job(self, *args, **kwargs):
-                job = super().submit_job(*args, **kwargs)
-                super().cancel_job(job["id"])  # forces failed/cancelled polls
-                return job
+            def job_rows_async(self, job_id, **kwargs):
+                inner = super().job_rows_async(job_id, **kwargs)
+
+                async def failing():
+                    # every attempt ends with `status`, however fast the
+                    # server ran the job (cancelling it after submit was a
+                    # race the job could win)
+                    async for frame in inner:
+                        if frame.get("row") == "end":
+                            yield {"row": "end", "status": status, "error": "injected"}
+                            return
+                        yield frame
+
+                return failing()
 
         coordinator = SweepCoordinator(
             [a.url],

@@ -43,10 +43,12 @@ from .faultlib import (
 )
 
 ARRAY = ArrayConfig(rows=8, cols=8)
-#: One mid-size job: ~200 designs, seconds of evaluation — long enough that
-#: a kill triggered off the journal lands mid-run, short enough for CI.
-WORKLOAD = "gemm"
-EXTENTS = {"m": 12, "n": 12, "k": 12}
+#: One mid-size job: 786 designs, a few tenths of a second — long enough
+#: that a kill triggered off the journal lands mid-run, short enough for CI.
+#: The design count sets the length (a design evaluates in tens of
+#: microseconds whatever its extents), so grow the space, not the extents.
+WORKLOAD = "depthwise_conv"
+EXTENTS = {"k": 8, "y": 8, "x": 8, "p": 3, "q": 3}
 
 
 def _wait_terminal(remote, job_id, budget=120):
@@ -115,7 +117,7 @@ class TestCrashRestart:
             server.kill()
             if kill_point == "mid_stream":
                 assert not journaled_terminal(journal), (
-                    "job finished before the mid-stream kill; grow EXTENTS"
+                    "job finished before the mid-stream kill; grow WORKLOAD's space"
                 )
 
             rows_on_disk = journaled_rows(journal)

@@ -312,6 +312,68 @@ class TestEngineOptions:
         assert wire.engine_options({"options": options}) == options
 
 
+class TestSelections:
+    """``selections`` must be a list of lists of loop names
+    (``wire.engine_options``), and each entry 3 distinct loops of the
+    statement with none repeated (``wire.check_selections``).  Both run where
+    the statement is instantiated: ``/v1/explore`` and job submit answer 400
+    before any work, and the sweep coordinator refuses before it submits.
+    The library's enumeration keeps counting such entries as invalid."""
+
+    GEMM = {"workload": "gemm", "extents": {"m": 8, "n": 8, "k": 8},
+            "array": {"rows": 4, "cols": 4}}
+    #: (selections, a fragment the error must carry)
+    BAD = [
+        ("mnk", "selections must be a list"),  # would split into one-letter entries
+        ({"m": 1}, "selections must be a list"),
+        ([[1, 2, 3]], "selections must be a list"),
+        ([["m", "n", "k"], "nmk"], "selections must be a list"),
+        ([["m", "n", "zz"]], "['m', 'n', 'zz']"),
+        ([["m", "n"]], "['m', 'n']"),
+        ([["m", "m", "k"]], "['m', 'm', 'k']"),
+        ([["m", "n", "k"], ["k", "n", "m"], ["m", "n", "k"]], "['m', 'n', 'k'] is repeated"),
+    ]
+    IDS = ["string", "object", "ints", "string-entry", "unknown-loop", "two-loops",
+           "same-loop-twice", "repeated"]
+
+    @pytest.mark.parametrize("selections, named", BAD, ids=IDS)
+    def test_explore_refuses_before_the_stream(self, service, selections, named):
+        body = json.dumps(dict(self.GEMM, options={"selections": selections})).encode()
+        status, raw = _post(service, "/v1/explore", body)
+        assert status == 400, raw
+        payload = json.loads(raw)
+        assert payload["error_type"] == "ValueError"
+        assert named in payload["error"], payload
+
+    @pytest.mark.parametrize("selections, named", BAD, ids=IDS)
+    def test_job_submit_refuses(self, service, selections, named):
+        body = {"workloads": ["gemm"], "extents": self.GEMM["extents"],
+                "options": {"selections": selections}}
+        status, raw = _post(service, "/v1/jobs", json.dumps(body).encode())
+        assert status == 400, raw
+        payload = json.loads(raw)
+        assert payload["error_type"] == "ValueError"
+        assert named in payload["error"], payload
+
+    @pytest.mark.parametrize("selections, named", BAD, ids=IDS)
+    def test_coordinator_refuses_before_it_submits(self, service, selections, named):
+        from repro.service import SweepCoordinator
+
+        coordinator = SweepCoordinator([service.url])
+        with pytest.raises(ValueError) as refused:
+            coordinator.sweep(["gemm"], selections=selections)
+        assert named in str(refused.value)
+        assert coordinator.last_report == {}  # nothing was partitioned into jobs
+
+    def test_distinct_selections_still_answer(self, service):
+        options = {"selections": [["m", "n", "k"], ["k", "n", "m"]], "per_selection_limit": 1}
+        body = json.dumps(dict(self.GEMM, options=options)).encode()
+        status, raw = _post(service, "/v1/explore", body)
+        assert status == 200, raw
+        rows = [json.loads(line) for line in raw.decode().splitlines()]
+        assert [row["row"] for row in rows] == ["start", "point", "point", "stats"], rows
+
+
 class TestResolveOptions:
     """Name resolution refuses what the docs say it refuses: ``bound`` and
     ``limit`` of wrong type or range, and oversized or wrong-typed

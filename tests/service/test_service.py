@@ -1,12 +1,14 @@
 """The evaluation service: wire protocol, streaming, jobs, shutdown."""
 
 import http.client
+import itertools
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -534,6 +536,19 @@ class TestJobRowStreaming:
         """Cancelling a running job terminates its row stream with an end
         frame reporting `cancelled` — a tail never hangs on a dead job."""
         session = LocalSession(ArrayConfig(rows=8, cols=8))
+        # hold the runner at the fifth design until the cancel has landed: a
+        # design evaluates in tens of microseconds, so without the gate the
+        # job could finish before the DELETE arrives
+        cancel_sent = threading.Event()
+        evaluate = session.engine.perf.evaluate
+        designs = itertools.count(1)
+
+        def gated(spec):
+            if next(designs) == 5:
+                cancel_sent.wait(60)
+            return evaluate(spec)
+
+        session.engine.perf.evaluate = gated
         with ServiceThread(session) as thread:
             remote = RemoteSession(thread.url)
             job = remote.submit_job(
@@ -548,6 +563,7 @@ class TestJobRowStreaming:
                 if len([r for r in seen if r["row"] != "start"]) >= 2:
                     break
             remote.cancel_job(job["id"])
+            cancel_sent.set()
             seen.extend(stream)  # drain to the end frame
             assert seen[-1]["row"] == "end"
             assert seen[-1]["status"] == "cancelled"
