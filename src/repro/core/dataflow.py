@@ -289,8 +289,22 @@ class DataflowSpec:
 
     def __init__(self, statement: Statement, selected: Sequence[str], stt: STT):
         check_selection(statement, selected, stt.n)
+        self._adopt(statement, tuple(selected), stt)
+
+    @classmethod
+    def trusted(cls, statement: Statement, selected: tuple[str, ...], stt: STT) -> "DataflowSpec":
+        """A spec whose ``selected`` already passed :func:`check_selection`.
+
+        The engine's space replay checks each distinct selection of an
+        entry once instead of once per design.
+        """
+        self = cls.__new__(cls)
+        self._adopt(statement, selected, stt)
+        return self
+
+    def _adopt(self, statement: Statement, selected: tuple[str, ...], stt: STT) -> None:
         self.statement = statement
-        self.selected = tuple(selected)
+        self.selected = selected
         self.stt = stt
         #: Set by :func:`repro.core.enumerate.iter_specs` from its block
         #: classifier; ``None`` until :attr:`flows` solves it otherwise.

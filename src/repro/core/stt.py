@@ -56,17 +56,18 @@ class STT:
         return cls([tuple(space1), tuple(space2), tuple(time)])
 
     @classmethod
-    def trusted(cls, matrix: Sequence[Sequence[int]]) -> "STT":
-        """Adopt a matrix that already passed ``__init__`` once.
+    def trusted(cls, matrix: Sequence[Sequence[int]], det: int | None = None) -> "STT":
+        """Adopt a matrix whose shape and rank are already known to hold.
 
         The wire decoders use this for rows echoed back by a server: the
         emitting side validated shape and rank when the design was built,
         so re-proving both per streamed row is pure fold-path overhead.
-        ``det`` is derived on demand.
+        ``det`` is derived on demand unless the caller, having checked the
+        rank itself, passes it.
         """
         self = cls.__new__(cls)
-        self.matrix = tuple(tuple(int(v) for v in row) for row in matrix)
-        self._det = None
+        self.matrix = tuple([tuple(map(int, row)) for row in matrix])
+        self._det = det
         self._inverse_cache = None
         return self
 

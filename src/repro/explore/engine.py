@@ -36,7 +36,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.dataflow import DataflowSpec, DataflowType
+from repro.core.dataflow import DataflowSpec, DataflowType, check_selection
 from repro.core.enumerate import (
     EnumerationStats,
     Predicate,
@@ -396,51 +396,72 @@ def _key_from_json(key: object, tensors: int) -> tuple:
     """The :func:`canonical_signature` tuple a stored key encodes.
 
     Raises ``ValueError`` unless ``key`` holds one ``[name, kind, [[p1, p2,
-    dt], ...]]`` entry per tensor, with string name and kind and integer
-    components.
+    dt], ...]]`` entry per tensor, with string name and kind and components
+    that are exactly ``int`` (a ``bool`` or ``float`` is refused).
     """
-    if not isinstance(key, list) or len(key) != tensors:
+    if type(key) is not list or len(key) != tensors:
         raise ValueError(f"canonical key needs {tensors} tensor entries")
     out = []
     for entry in key:
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 3
-            and isinstance(entry[0], str)
-            and isinstance(entry[1], str)
-            and isinstance(entry[2], list)
-            and all(
-                isinstance(vec, list) and len(vec) == 3 and all(type(v) is int for v in vec)
-                for vec in entry[2]
-            )
-        ):
+        if type(entry) is not list or len(entry) != 3:
             raise ValueError("malformed canonical key entry")
         name, kind, basis = entry
-        out.append((name, kind, tuple(tuple(vec) for vec in basis)))
+        if type(name) is not str or type(kind) is not str or type(basis) is not list:
+            raise ValueError("malformed canonical key entry")
+        vecs = []
+        for vec in basis:
+            if type(vec) is not list or len(vec) != 3:
+                raise ValueError("malformed canonical key vector")
+            p1, p2, dt = vec
+            if type(p1) is not int or type(p2) is not int or type(dt) is not int:
+                raise ValueError("canonical key components must be integers")
+            vecs.append((p1, p2, dt))
+        out.append((name, kind, tuple(vecs)))
     return tuple(out)
 
 
 def _replayed_specs(statement: Statement, stored: object) -> list[DataflowSpec] | None:
     """The specs a ``spaces`` entry records, or ``None`` when it is malformed.
 
-    The entry comes from disk or from another server's ``/v1/cache``, so
-    every STT is validated again and a malformed design makes the whole
-    entry a miss.  A well-formed canonical key is trusted, like a stored
-    point.
+    The entry comes from disk or from another server's ``/v1/cache``, so it
+    is checked again, in one pass, and a malformed design makes the whole
+    entry a miss: each distinct selection must name three distinct loops of
+    ``statement``, and each matrix must be 3x3, full rank and hold exactly
+    ``int`` components (a ``float``, ``bool`` or string is refused, never
+    truncated).  The specs are then built without checking again.  A
+    well-formed canonical key is trusted, like a stored point.
     """
-    if not isinstance(stored, list):
+    if type(stored) is not list:
         return None
+    tensors = len(statement.accesses)
+    selections: set[tuple] = set()
     specs = []
     try:
         for entry in stored:
-            if not isinstance(entry, list) or len(entry) != 3:
+            if type(entry) is not list or len(entry) != 3:
                 return None
             sel, matrix, key = entry
-            spec = DataflowSpec(
-                statement, tuple(sel), STT(tuple(tuple(row) for row in matrix))
+            if type(sel) is not list:
+                return None
+            selected = tuple(sel)
+            if selected not in selections:
+                check_selection(statement, selected)
+                selections.add(selected)
+            (a, b, c), (d, e, f), (g, h, i) = matrix
+            # one chained identity test: all nine components exactly int
+            if not (
+                type(a) is type(b) is type(c) is type(d) is type(e)
+                is type(f) is type(g) is type(h) is type(i) is int
+            ):
+                return None
+            det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+            if det == 0:
+                return None
+            spec = DataflowSpec.trusted(
+                statement, selected, STT.trusted(((a, b, c), (d, e, f), (g, h, i)), det)
             )
             if key is not None:
-                spec.canonical_key = _key_from_json(key, len(statement.accesses))
+                spec.canonical_key = _key_from_json(key, tensors)
             specs.append(spec)
     except (TypeError, ValueError):
         return None

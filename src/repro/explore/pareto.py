@@ -18,7 +18,15 @@ def pareto_front(
 
     ``minimize[i]`` selects the direction of objective ``i`` (default: all
     minimized).  A point is dominated when another point is no worse in every
-    objective and strictly better in at least one.
+    objective and strictly better in at least one.  The front keeps the
+    points' input order.
+
+    The keyed points are sorted once, and each is checked only against the
+    front found so far: a dominator sorts strictly before every point it
+    dominates, and dominance is transitive, so a dominated point always
+    meets a front member that dominates it.  A point with a NaN objective
+    compares false both ways, so it can neither dominate nor be dominated;
+    it joins the front without entering the sort, which NaN would break.
     """
     if not objectives:
         raise ValueError("need at least one objective")
@@ -26,23 +34,22 @@ def pareto_front(
     if len(mins) != len(objectives):
         raise ValueError("minimize flags must match objectives")
 
-    def key(pt: T) -> tuple[float, ...]:
-        return tuple(
-            obj(pt) if mn else -obj(pt) for obj, mn in zip(objectives, mins)
-        )
-
-    keyed = [(key(pt), pt) for pt in points]
-    front: list[T] = []
-    for k, pt in keyed:
-        dominated = False
-        for k2, _ in keyed:
-            if k2 is k:
-                continue
-            if all(a <= b for a, b in zip(k2, k)) and any(
-                a < b for a, b in zip(k2, k)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            front.append(pt)
-    return front
+    front: list[int] = []
+    ranked: list[tuple[tuple[float, ...], int]] = []
+    for index, pt in enumerate(points):
+        key = tuple(obj(pt) if mn else -obj(pt) for obj, mn in zip(objectives, mins))
+        if any(v != v for v in key):
+            front.append(index)
+        else:
+            ranked.append((key, index))
+    ranked.sort()
+    kept: list[tuple[float, ...]] = []
+    for key, index in ranked:
+        # no worse everywhere and not equal: strictly better somewhere
+        if not any(
+            other != key and all(a <= b for a, b in zip(other, key)) for other in kept
+        ):
+            kept.append(key)
+            front.append(index)
+    front.sort()
+    return [points[i] for i in front]

@@ -97,13 +97,15 @@ class Job:
     through :meth:`snapshot` at every point of its life cycle
     (``queued -> running -> done | failed | cancelled``).
 
-    Every evaluated design is appended to :attr:`rows` as a
-    ``/v1/explore``-format wire row *while the job runs*, extended with two
-    keys: ``seq`` — the 1-based, job-global, strictly increasing row cursor —
-    and ``item`` — the 0-based index of the (config, workload) item (in
-    configs-major job order) the design belongs to.  ``rows`` only ever
-    grows, which is what makes the ``GET /v1/jobs/<id>/rows`` long-poll safe
-    to serve from another thread without locking.
+    Every evaluated design is appended to :attr:`rows` (by
+    :meth:`append_row`) as a ``/v1/explore``-format wire row *while the job
+    runs*, extended with two keys: ``seq`` — the 1-based, job-global,
+    strictly increasing row cursor — and ``item`` — the 0-based index of the
+    (config, workload) item (in configs-major job order) the design belongs
+    to.  The log holds each row as its NDJSON line, encoded once: ``/rows``
+    joins the stored lines and the journal prefixes them.  ``rows`` only
+    ever grows, which is what makes the ``GET /v1/jobs/<id>/rows``
+    long-poll safe to serve from another thread without locking.
     """
 
     id: str
@@ -116,8 +118,9 @@ class Job:
     cancelled_while: str | None = None
     #: Total (config, workload) items this job will run; progress denominator.
     total_items: int = 0
-    #: The incremental per-design row log (see class docstring).
-    rows: list[dict[str, Any]] = field(default_factory=list)
+    #: The incremental per-design row log, one NDJSON line (newline
+    #: included) per row (see class docstring).
+    rows: list[bytes] = field(default_factory=list)
     #: True for a job rebuilt from a journal that had no terminal entry: it
     #: was queued or running when the server died and re-enters the queue.
     resumed: bool = False
@@ -128,6 +131,37 @@ class Job:
     #: lets a ``/rows`` stream cut its micro-batch pause short the instant
     #: the job ends instead of sleeping the pause out.
     done: asyncio.Event = field(default_factory=asyncio.Event)
+
+    @classmethod
+    def restore(cls, fields: Mapping[str, Any]) -> "Job":
+        """The job a :func:`wire.replay_journal` field set describes.
+
+        A job with a terminal entry comes back as its last snapshot; one
+        without was queued or running at the crash and comes back queued,
+        flagged :attr:`resumed`.
+        """
+        job = cls(
+            id=fields["id"],
+            payload=fields["payload"],
+            total_items=fields["total_items"],
+            results=fields["results"],
+            error=fields["error"],
+            cancelled_while=fields["cancelled_while"],
+        )
+        for row in fields["rows"]:
+            job.append_row(row)
+        if fields["status"] is None:
+            job.resumed = True
+        else:
+            job.status = fields["status"]
+            job.done.set()
+        return job
+
+    def append_row(self, row: Mapping[str, Any]) -> bytes:
+        """Append ``row`` to the log as its NDJSON line; returns the line."""
+        line = json.dumps(row).encode() + b"\n"
+        self.rows.append(line)
+        return line
 
     def snapshot(self) -> dict[str, Any]:
         """The job's JSON wire shape; its rows travel only over ``/rows``."""
@@ -182,8 +216,8 @@ class _JobJournal:
         self._files: dict[str, Any] = {}  # job id -> open append handle
 
     # -- producer side (any thread, no I/O) -----------------------------
-    def append(self, job_id: str, kind: str, fields: Mapping[str, Any]) -> None:
-        line = wire.encode_journal_entry(wire.journal_entry(kind, fields))
+    def append(self, job_id: str, line: bytes) -> None:
+        """Queue one encoded journal line for ``job_id``."""
         with self._lock:
             self._pending.append((job_id, line))
 
@@ -314,6 +348,9 @@ class EvaluationService:
         self._journal = None if journal_dir is None else _JobJournal(str(journal_dir))
         self._journal_pacer: asyncio.Task | None = None
         self.jobs: dict[str, Job] = {}
+        #: ``submit_key`` -> the kept job submitted under it, in step with
+        #: :attr:`jobs` (see :meth:`_keep_job` and :meth:`_prune_jobs`)
+        self._submit_keys: dict[str, Job] = {}
         self._job_ids = itertools.count(1)
         self._job_queue: asyncio.Queue[Job] | None = None
         self._runner: asyncio.Task | None = None
@@ -351,27 +388,15 @@ class EvaluationService:
         highest = 0
         for fields in sorted(replayed, key=lambda f: _job_number(f["id"])):
             highest = max(highest, _job_number(fields["id"]))
-            job = Job(
-                id=fields["id"],
-                payload=fields["payload"],
-                total_items=fields["total_items"],
-            )
-            job.rows = fields["rows"]
-            job.results = fields["results"]
-            job.error = fields["error"]
-            job.cancelled_while = fields["cancelled_while"]
-            if fields["status"] is None:
-                job.resumed = True
+            job = Job.restore(fields)
+            if job.resumed:
                 try:
                     self._job_queue.put_nowait(job)  # type: ignore[union-attr]
                 except asyncio.QueueFull:
                     job.status = "failed"
                     job.error = "job queue full during journal recovery"
                     job.done.set()
-            else:
-                job.status = fields["status"]
-                job.done.set()
-            self.jobs[job.id] = job
+            self._keep_job(job)
         if highest:
             # new ids continue after every journaled one: a transport-retried
             # POST dedups against the rebuilt job instead of colliding ids
@@ -747,14 +772,13 @@ class EvaluationService:
         submit_key = payload.get("submit_key")
         if submit_key is not None and not isinstance(submit_key, str):
             raise ValueError('"submit_key" must be a string')
-        if submit_key is not None:
+        existing = None if submit_key is None else self._job_for_key(submit_key)
+        if existing is not None:
             # idempotent resubmission: a client that lost the response to a
             # submit retries with the same key and gets the original job
             # back instead of enqueueing a duplicate sweep
-            for existing in self.jobs.values():
-                if existing.payload.get("submit_key") == submit_key:
-                    self._json_response(writer, 202, {"job": existing.snapshot()})
-                    return
+            self._json_response(writer, 202, {"job": existing.snapshot()})
+            return
         for item in items:
             wire.check_selections(wire.instantiate_statement(item), options.get("selections"))
         configs = payload.get("configs") or []
@@ -789,10 +813,10 @@ class EvaluationService:
                 },
             )
             return
-        self.jobs[job.id] = job
+        self._keep_job(job)
         # the header entry is what makes submit_key dedup survive a restart:
         # replay rebuilds the job (payload included) before any retried POST
-        # can reach the dedup scan above
+        # can reach the dedup lookup above
         self._journal_append(
             job,
             "job",
@@ -923,13 +947,7 @@ class EvaluationService:
             if progressed:
                 # one chunk per drain, not per row: the NDJSON framing is
                 # line-based, so clients split lines wherever chunks land
-                self._write_chunk(
-                    writer,
-                    b"".join(
-                        json.dumps(job.rows[i]).encode() + b"\n"
-                        for i in range(cursor, total)
-                    ),
-                )
+                self._write_chunk(writer, b"".join(job.rows[cursor:total]))
                 cursor = total
             now = time.monotonic()
             if progressed:
@@ -979,10 +997,12 @@ class EvaluationService:
 
         Memory-only and thread-safe: callable from the loop thread (submit,
         cancel, terminal flips) and from the job runner's executor thread
-        (rows, records) alike; the pacer task does the actual file I/O.
+        (records; rows arrive already encoded) alike; the pacer task does the
+        actual file I/O.
         """
         if self._journal is not None:
-            self._journal.append(job.id, kind, fields)
+            line = wire.encode_journal_entry(wire.journal_entry(kind, fields))
+            self._journal.append(job.id, line)
 
     def _journal_end(self, job: Job) -> None:
         """Queue a job's terminal journal entry."""
@@ -996,20 +1016,42 @@ class EvaluationService:
             },
         )
 
+    def _keep_job(self, job: Job) -> None:
+        """Add ``job`` to :attr:`jobs`, and its ``submit_key`` to the index.
+
+        A key already indexed keeps its job: the oldest kept job with a key
+        is the one a retried submit gets back.
+        """
+        self.jobs[job.id] = job
+        submit_key = job.payload.get("submit_key")
+        if isinstance(submit_key, str) and self._job_for_key(submit_key) is None:
+            self._submit_keys[submit_key] = job
+
+    def _job_for_key(self, submit_key: str) -> Job | None:
+        """The kept job submitted under ``submit_key``, if any."""
+        job = self._submit_keys.get(submit_key)
+        # a job dropped from the table other than by pruning is gone too
+        return job if job is not None and self.jobs.get(job.id) is job else None
+
     def _prune_jobs(self) -> None:
         """Drop the oldest finished jobs beyond ``max_kept_jobs``."""
-        finished = [
-            job_id
-            for job_id, job in self.jobs.items()
-            if job.status in ("done", "failed", "cancelled")
-        ]
-        for job_id in finished[: max(0, len(self.jobs) - self.max_kept_jobs)]:
-            del self.jobs[job_id]
+        excess = len(self.jobs) - self.max_kept_jobs
+        if excess <= 0:
+            return
+        # jobs iterate oldest first: stop at the excess, not at the end
+        finished = (
+            job for job in self.jobs.values() if job.status in ("done", "failed", "cancelled")
+        )
+        for job in list(itertools.islice(finished, excess)):
+            del self.jobs[job.id]
+            submit_key = job.payload.get("submit_key")
+            if isinstance(submit_key, str) and self._submit_keys.get(submit_key) is job:
+                del self._submit_keys[submit_key]
             if self._journal is not None:
                 # compaction: a pruned terminal job's journal is deleted on
                 # the next flush tick, bounding --journal-dir to the same
                 # max_kept_jobs window as the in-memory job table
-                self._journal.discard(job_id)
+                self._journal.discard(job.id)
 
     def _poke_rows_streams(self) -> None:
         """Ring the ``/rows`` doorbell, from any thread (no-op before start)."""
@@ -1088,7 +1130,8 @@ class EvaluationService:
         replay_by_item: dict[int, list[dict[str, Any]]] = {}
         if job.resumed:
             completed_items = {int(rec.get("item", -1)) for rec in job.results}
-            for row in job.rows:
+            for line in job.rows:
+                row = json.loads(line)
                 replay_by_item.setdefault(int(row.get("item", -1)), []).append(row)
         item_index = -1
         for config in configs:
@@ -1137,8 +1180,9 @@ class EvaluationService:
                     (points if point.ok else failures).append(point)
                     row = wire.point_to_row(point)
                     row["item"] = item_index
-                    job.rows.append(row)
-                    self._journal_append(job, "row", row)
+                    line = job.append_row(row)
+                    if self._journal is not None:
+                        self._journal.append(job.id, wire.journal_row_line(line))
                     self._poke_rows_streams()
                     if job.cancel_requested:
                         return False

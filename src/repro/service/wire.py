@@ -71,6 +71,7 @@ __all__ = [
     "JOURNAL_KINDS",
     "journal_entry",
     "encode_journal_entry",
+    "journal_row_line",
     "decode_journal",
     "replay_journal",
 ]
@@ -419,6 +420,17 @@ def journal_entry(kind: str, fields: Mapping[str, Any]) -> dict[str, Any]:
 def encode_journal_entry(entry: Mapping[str, Any]) -> bytes:
     """One NDJSON journal line, newline-terminated (the torn-line sentinel)."""
     return json.dumps(entry).encode() + b"\n"
+
+
+def journal_row_line(row_line: bytes) -> bytes:
+    """The journal line of a ``row`` entry, made from the row's NDJSON line.
+
+    ``row_line`` is ``json.dumps(row).encode() + b"\\n"`` for a non-empty wire
+    row; the result is byte-identical to
+    ``encode_journal_entry(journal_entry("row", row))``, so a job's rows are
+    JSON-encoded once for both its ``/rows`` log and its journal.
+    """
+    return b'{"journal": "row", ' + row_line[1:]
 
 
 def decode_journal(data: bytes) -> list[dict[str, Any]]:

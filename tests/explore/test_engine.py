@@ -324,6 +324,14 @@ def _point_keys(engine, statement, points) -> list[str]:
     return [engine._design_key(prefix, p.spec) for p in points]
 
 
+def _set_matrix_component(entry, accept, value):
+    """Replace the first STT component of the entry's first design that
+    ``accept`` admits by ``value(component)``."""
+    matrix = entry[0][1]
+    r, c = next((r, c) for r, row in enumerate(matrix) for c, v in enumerate(row) if accept(v))
+    matrix[r][c] = value(matrix[r][c])
+
+
 class TestSpaceCacheKeys:
     """The ``spaces`` section stores each design's canonical key beside its
     ``(selection, STT)`` pair, so a warm stream on a square array computes
@@ -424,6 +432,23 @@ class TestSpaceCacheKeys:
             pytest.param(lambda e: e[-1].pop(), id="two-element-entry"),
             pytest.param(lambda e: e[0].__setitem__(1, [[1, 0], [0, 1]]), id="bad-matrix"),
             pytest.param(lambda e: e.append("design"), id="string-design"),
+            # a float, bool or numeric string that int() would truncate to
+            # the stored component: the key then names another design
+            pytest.param(
+                lambda e: _set_matrix_component(e, lambda v: v >= 0, lambda v: v + 0.7),
+                id="float-matrix-component",
+            ),
+            pytest.param(
+                lambda e: _set_matrix_component(e, lambda v: v in (0, 1), bool),
+                id="bool-matrix-component",
+            ),
+            pytest.param(
+                lambda e: _set_matrix_component(e, lambda v: True, str),
+                id="string-matrix-component",
+            ),
+            pytest.param(lambda e: e[0][1].__setitem__(2, list(e[0][1][0])), id="singular-matrix"),
+            pytest.param(lambda e: e[0][0].__setitem__(0, "zz"), id="unknown-loop"),
+            pytest.param(lambda e: e[0][0].__setitem__(1, e[0][0][0]), id="repeated-loop"),
         ],
     )
     def test_malformed_entry_is_a_miss(self, tmp_path, corrupt):

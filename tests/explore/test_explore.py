@@ -1,6 +1,10 @@
 """Tests for design-space exploration and Pareto extraction."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import LocalSession
 from repro.core import naming
@@ -88,3 +92,55 @@ class TestPareto:
             and p.power_mw == best_power_at_fastest
             for p in front
         )
+
+
+def _reference_front(points, objectives, minimize=None):
+    """The O(n^2) definition: keep each point no other point dominates."""
+    mins = list(minimize) if minimize is not None else [True] * len(objectives)
+    keyed = [
+        (tuple(obj(pt) if mn else -obj(pt) for obj, mn in zip(objectives, mins)), pt)
+        for pt in points
+    ]
+    front = []
+    for k, pt in keyed:
+        dominated = any(
+            k2 is not k
+            and all(a <= b for a, b in zip(k2, k))
+            and any(a < b for a, b in zip(k2, k))
+            for k2, _ in keyed
+        )
+        if not dominated:
+            front.append(pt)
+    return front
+
+
+class _Point:
+    """A distinct object per drawn point, so the front is compared by identity."""
+
+    def __init__(self, values):
+        self.values = values
+
+
+#: Ties, signed zeros, infinities and NaN: the values that break a naive sort.
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _fronts(draw):
+    n_obj = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[_VALUES] * n_obj), max_size=60))
+    minimize = draw(st.none() | st.lists(st.booleans(), min_size=n_obj, max_size=n_obj))
+    return [_Point(row) for row in rows], n_obj, minimize
+
+
+class TestParetoProperty:
+    @given(_fronts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_quadratic_definition(self, case):
+        """The sort-based front returns the same objects, in input order,
+        as the O(n^2) definition."""
+        points, n_obj, minimize = case
+        objectives = [lambda p, i=i: p.values[i] for i in range(n_obj)]
+        got = pareto_front(points, objectives, minimize)
+        want = _reference_front(points, objectives, minimize)
+        assert [id(p) for p in got] == [id(p) for p in want]

@@ -15,6 +15,8 @@ drop-everything-after-damage rule.  One server-level test pins how a
 row-less journal written by an older build replays.
 """
 
+import json
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -127,20 +129,11 @@ def test_any_truncation_replays_the_durable_prefix(
 
     # rebuild the Job the way the server's startup replay does, and compare
     # its snapshot to the pre-crash job truncated at the last durable seq
-    job = Job(
-        id=fields["id"],
-        payload=fields["payload"],
-        total_items=fields["total_items"],
-    )
-    job.rows = fields["rows"]
-    job.results = fields["results"]
-    if fields["status"] is None:
-        job.resumed = True  # queued/running at the crash: resumes
-    else:
-        job.status = fields["status"]
-    assert job.rows == exp_rows
+    job = Job.restore(fields)
+    rows = [json.loads(line) for line in job.rows]
+    assert rows == exp_rows
     # seqs are a contiguous prefix: seq == index + 1 is the cursor invariant
-    assert [row["seq"] for row in job.rows] == list(range(1, len(exp_rows) + 1))
+    assert [row["seq"] for row in rows] == list(range(1, len(exp_rows) + 1))
     snap = job.snapshot()
     assert snap["progress"]["completed"] == len(exp_records)
     assert snap["status"] == (status if end_survived else "queued")

@@ -16,8 +16,9 @@ import pytest
 
 from repro.api import SCHEMA_VERSION, LocalSession
 from repro.api.types import SchemaVersionError
+from repro.ir import workloads
 from repro.perf.model import ArrayConfig
-from repro.service import EvaluationService, RemoteSession, ServiceThread
+from repro.service import EvaluationService, RemoteSession, ServiceThread, wire
 
 from .faultlib import data_rows
 
@@ -356,6 +357,73 @@ class TestJobs:
         for job in (first, fresh):
             assert _wait_terminal(remote, job["id"])["status"] == "done"
 
+    def test_pruned_submit_key_gets_a_new_job(self):
+        """Dedup reaches only kept jobs: once the job a key named is pruned,
+        the same key submits a new job."""
+        session = LocalSession(ArrayConfig(rows=8, cols=8))
+        kwargs = dict(one_d_only=True, extents={"m": 8, "n": 8, "k": 8})
+        with ServiceThread(session, max_kept_jobs=1) as thread:
+            remote = RemoteSession(thread.url)
+            first = remote.submit_job(["batched_gemv"], submit_key="key-0", **kwargs)
+            retried = remote.submit_job(["batched_gemv"], submit_key="key-0", **kwargs)
+            assert retried["id"] == first["id"]
+            assert _wait_terminal(remote, first["id"])["status"] == "done"
+            other = remote.submit_job(["batched_gemv"], **kwargs)  # prunes the first
+            with pytest.raises(LookupError, match="no such job"):
+                remote.job(first["id"])
+            again = remote.submit_job(["batched_gemv"], submit_key="key-0", **kwargs)
+            assert again["id"] not in (first["id"], other["id"])
+            for job in (other, again):
+                assert _wait_terminal(remote, job["id"])["status"] == "done"
+
+    def test_record_pins_pareto_and_best_to_the_local_result(self, remote):
+        """A job record's ``pareto`` names and ``best`` rows are those of the
+        in-process result for the same item."""
+        extents = {"k": 16, "c": 16, "y": 14, "x": 14, "p": 3, "q": 3}
+        local = LocalSession(ArrayConfig(rows=8, cols=8)).explore(
+            workloads.by_name("conv2d", **extents), per_selection_limit=8
+        )
+        job = remote.submit_job(["conv2d"], extents=extents, per_selection_limit=8)
+        (record,) = _wait_terminal(remote, job["id"])["results"]
+        assert record["points"] == len(local.points) > 100
+        assert record["pareto"] == [p.name for p in local.pareto()]
+        assert len(record["pareto"]) > 1
+        assert record["best"] == [wire.point_to_row(p) for p in local.best(5)]
+
+    def test_row_log_bytes_are_the_wire_encoding(self, tmp_path):
+        """Each ``/rows`` line is ``json.dumps(row)`` of the row the engine
+        emits, byte for byte, and each journal row entry is the
+        ``encode_journal_entry`` line of that row: journals stay readable
+        across an upgrade in both directions."""
+        configs = [ArrayConfig(rows=8, cols=8), ArrayConfig(rows=4, cols=4)]
+        names, extents = ["gemm", "batched_gemv"], {"m": 8, "n": 8, "k": 8}
+        journal = tmp_path / "journal"
+        with ServiceThread(LocalSession(configs[0]), journal_dir=journal) as thread:
+            remote = RemoteSession(thread.url)
+            job = remote.submit_job(names, configs=configs, extents=extents, one_d_only=True)
+            _wait_terminal(remote, job["id"])
+            conn = _raw(thread)
+            conn.request("GET", f"/v1/jobs/{job['id']}/rows")
+            lines = conn.getresponse().read().splitlines(keepends=True)
+            conn.close()
+        expected = []
+        reference = LocalSession(configs[0])
+        for item, (config, name) in enumerate(itertools.product(configs, names)):
+            engine = reference.engine_for(config)
+            statement = workloads.by_name(name, **extents)
+            for point in engine.stream(statement, seq_start=len(expected), one_d_only=True):
+                row = wire.point_to_row(point)
+                row["item"] = item
+                expected.append(row)
+        assert {row["item"] for row in expected} == {0, 1, 2, 3}
+        assert json.loads(lines[0])["row"] == "start"
+        assert json.loads(lines[-1])["row"] == "end"
+        assert lines[1:-1] == [json.dumps(row).encode() + b"\n" for row in expected]
+        entries = (journal / f"{job['id']}.ndjson").read_bytes().splitlines(keepends=True)
+        assert [line for line in entries if line.startswith(b'{"journal": "row"')] == [
+            wire.encode_journal_entry(wire.journal_entry("row", row)) for row in expected
+        ]
+
     def test_per_item_extents_in_one_job(self, remote):
         """Workloads entries may be {"workload", "extents"} payloads carrying
         their own problem sizes — the wire shape behind shard_size > 1."""
@@ -525,7 +593,7 @@ class TestJobRowStreaming:
             assert "cursor_reset" not in start  # running: might still catch up
             row = {"row": "failure", "seq": 1, "item": 0, "selection": ["m"],
                    "stt": [[1]], "stage": "perf", "reason": "fabricated"}
-            job.rows.append(row)
+            job.append_row(row)
             job.status = "done"  # ends at 1 row: far short of cursor 50
             rest = list(stream)
             assert [r["row"] for r in rest] == ["reset", "failure", "end"]
@@ -598,7 +666,7 @@ class TestJobRowStreaming:
             assert beat == {"row": "keepalive", "status": "running", "rows_total": 0}
             row = {"row": "failure", "seq": 1, "item": 0, "selection": ["m"],
                    "stt": [[1]], "stage": "perf", "reason": "fabricated"}
-            job.rows.append(row)
+            job.append_row(row)
             job.status = "done"
             rest = list(stream)
             assert [r["row"] for r in rest[-2:]] == ["failure", "end"]
