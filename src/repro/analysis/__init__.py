@@ -8,34 +8,23 @@ to catch regressions:
   reachable from an ``async def`` body;
 * :mod:`~repro.analysis.checkers.wire_contract` (**RA002**) — server
   routes, client paths and ``docs/service-api.md`` agree three ways;
-* :mod:`~repro.analysis.checkers.locks` (**RA003**) — lock-guarded
-  attributes are never touched outside the lock;
-* :mod:`~repro.analysis.checkers.loop_affinity` (**RA004**) — asyncio
-  primitives are only poked from threads via ``call_soon_threadsafe``;
-* :mod:`~repro.analysis.checkers.lock_order` (**RA005**) — the
-  project-wide lock-acquisition graph has no ABBA cycles;
 * :mod:`~repro.analysis.checkers.error_contract` (**RA006**) — every
   server-reachable ``raise`` round-trips through ``wire._ERROR_TYPES``;
 * :mod:`~repro.analysis.checkers.determinism` (**RA007**) — nothing
-  nondeterministic is reachable from the sweep fold paths.
+  nondeterministic is reachable from the sweep fold paths;
+* :mod:`~repro.analysis.checkers.taint` (**RA008**) — no request-derived
+  value reaches a sensitive sink unsanitized.
 
-RA001 and RA005-RA007 share one project-wide, import-resolving call graph
-(:class:`~repro.analysis.callgraph.ProjectGraph`); results are cached
-whole-run on disk, keyed by content hash + checker versions.  Everything
-is pure :mod:`ast` — the analyzed code is parsed, never imported.  Front
-doors: ``repro lint`` (CLI), :func:`run_lint` (tests/CI),
+RA001 and RA006-RA008 share one project-wide, import-resolving call graph
+(:class:`~repro.analysis.callgraph.ProjectGraph`), and RA008 runs the
+forward dataflow engine (:mod:`~repro.analysis.dataflow`) on top of it.
+Everything is pure :mod:`ast` — the analyzed code is parsed, never
+imported.  Front doors: ``repro lint`` (CLI), :func:`run_lint` (tests/CI),
 ``docs/development.md`` (the checker catalog and waiver syntax).
 """
 
 from repro.analysis.findings import Finding, Waiver
-from repro.analysis.runner import (
-    LintOptions,
-    LintResult,
-    format_text,
-    result_to_json,
-    run_lint,
-)
-from repro.analysis.sarif import result_to_sarif
+from repro.analysis.runner import LintOptions, LintResult, format_text, run_lint
 
 __all__ = [
     "Finding",
@@ -43,7 +32,5 @@ __all__ = [
     "LintResult",
     "Waiver",
     "format_text",
-    "result_to_json",
-    "result_to_sarif",
     "run_lint",
 ]

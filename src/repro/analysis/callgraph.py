@@ -1,17 +1,13 @@
-"""Call graphs with async/thread execution contexts, module-local and project-wide.
+"""Call graphs with the event-loop execution context, module-local and project-wide.
 
-The concurrency checkers need to know *where a function runs*, not just what
-it does: a ``time.sleep`` is fine on an executor thread and poison on the
-event loop.  :class:`ModuleGraph` classifies every function in one module into
+The blocking-call checker needs to know *where a function runs*, not just
+what it does: a ``time.sleep`` is fine on an executor thread and poison on
+the event loop.  The **loop context** is every ``async def`` body, plus
+every sync function it (transitively) calls *directly* — a helper three
+hops below a coroutine still blocks the loop when it blocks.  A callable
+handed to ``loop.run_in_executor`` by reference creates no call edge.
 
-* **loop context** — ``async def`` bodies, plus every sync function they
-  (transitively) call *directly*.  A helper three hops below a coroutine
-  still blocks the loop when it blocks.
-* **thread context** — functions handed to worker threads by reference
-  (``loop.run_in_executor(..., fn)``, ``threading.Thread(target=fn)``,
-  ``executor.submit(fn)``, including through ``functools.partial``), plus
-  everything they transitively call.
-
+:class:`ModuleGraph` collects the functions and call sites of one module.
 Module-local resolution is name-based: ``self.foo()`` resolves to the
 enclosing class's ``foo`` (or a base class defined in the same module),
 ``C.helper()`` to a local class's static/class method, bare names to
@@ -46,14 +42,6 @@ __all__ = [
     "dotted_name",
     "module_name",
 ]
-
-#: Call attributes that receive a *callable reference* destined for another
-#: thread: positional index of the callable argument for each.
-_THREAD_DISPATCHERS = {
-    "run_in_executor": 1,  # loop.run_in_executor(executor, fn, *args)
-    "submit": 0,  # pool.submit(fn, *args)
-}
-
 
 def dotted_name(node: ast.AST) -> str | None:
     """``a.b.c`` for Name/Attribute chains; ``()``/``[]`` stand in for
@@ -107,8 +95,6 @@ class FunctionInfo:
     cls: str | None
     parent: str | None  #: enclosing function qualname for nested defs
     calls: list[CallSite] = field(default_factory=list)
-    #: qualnames referenced (not called) as thread-dispatch targets here
-    dispatches: list[str] = field(default_factory=list)
 
 
 def _own_statements(fn: ast.FunctionDef | ast.AsyncFunctionDef):
@@ -123,7 +109,7 @@ def _own_statements(fn: ast.FunctionDef | ast.AsyncFunctionDef):
 
 
 class ModuleGraph:
-    """Functions, call edges, and execution contexts for one module."""
+    """Functions and module-locally resolved call edges for one module."""
 
     def __init__(self, source: SourceFile):
         self.source = source
@@ -212,70 +198,6 @@ class ModuleGraph:
             info.calls.append(
                 CallSite(raw=raw, node=node, resolved=self._resolve(raw, info))
             )
-            self._record_dispatch(raw, node, info)
-
-    def _record_dispatch(self, raw: str, call: ast.Call, info: FunctionInfo) -> None:
-        """Note callables handed off to threads (executors, Thread targets)."""
-        targets: list[ast.AST] = []
-        tail = raw.rsplit(".", 1)[-1]
-        if tail in _THREAD_DISPATCHERS:
-            index = _THREAD_DISPATCHERS[tail]
-            if len(call.args) > index:
-                targets.append(call.args[index])
-        if tail == "Thread":
-            targets.extend(
-                kw.value for kw in call.keywords if kw.arg == "target"
-            )
-        for target in targets:
-            # unwrap functools.partial(fn, ...) to fn
-            if isinstance(target, ast.Call):
-                inner = dotted_name(target.func)
-                if inner is not None and inner.rsplit(".", 1)[-1] == "partial":
-                    if target.args:
-                        target = target.args[0]
-                    else:
-                        continue
-                else:
-                    continue
-            name = dotted_name(target)
-            if name is None:
-                continue
-            resolved = self._resolve(name, info)
-            if resolved is not None:
-                info.dispatches.append(resolved)
-
-    # -- contexts -------------------------------------------------------
-    def _closure(self, roots: set[str]) -> dict[str, list[str]]:
-        """Reachable qualnames with one shortest call chain each (BFS)."""
-        chains: dict[str, list[str]] = {root: [root] for root in roots}
-        frontier = list(roots)
-        while frontier:
-            current = frontier.pop(0)
-            info = self.functions.get(current)
-            if info is None:
-                continue
-            for site in info.calls:
-                callee = site.resolved
-                if callee is not None and callee not in chains:
-                    chains[callee] = chains[current] + [callee]
-                    frontier.append(callee)
-        return chains
-
-    def loop_context(self) -> dict[str, list[str]]:
-        """qualname -> call chain from an ``async def``, for everything that
-        executes on the event loop via direct (non-executor) calls."""
-        roots = {q for q, info in self.functions.items() if info.is_async}
-        return self._closure(roots)
-
-    def thread_roots(self) -> set[str]:
-        roots: set[str] = set()
-        for info in self.functions.values():
-            roots.update(info.dispatches)
-        return roots
-
-    def thread_context(self) -> dict[str, list[str]]:
-        """qualname -> chain from a thread entry point (executor/Thread)."""
-        return self._closure(self.thread_roots())
 
 
 class ProjectGraph:
@@ -503,12 +425,4 @@ class ProjectGraph:
         """fqn -> call chain from an ``async def``, project-wide: a coroutine
         in one module reaches blocking helpers defined in any other."""
         roots = {fqn for fqn, info in self.functions.items() if info.is_async}
-        return self.closure(roots)
-
-    def thread_context(self) -> dict[str, list[str]]:
-        """fqn -> chain from a thread entry point, closed project-wide."""
-        roots: set[str] = set()
-        for mod, graph in self.modules.items():
-            for info in graph.functions.values():
-                roots.update(f"{mod}:{d}" for d in info.dispatches)
         return self.closure(roots)

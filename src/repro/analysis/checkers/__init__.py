@@ -4,12 +4,6 @@
 ``RA001``   blocking calls reachable from ``async def`` bodies (loop stalls),
             followed across module boundaries
 ``RA002``   server/client/docs wire-contract drift on the ``/v1`` surface
-``RA003``   lock discipline: attributes mutated under ``self._lock`` must
-            always be accessed under it
-``RA004``   loop affinity: asyncio primitives touched from worker threads
-            only via ``call_soon_threadsafe``
-``RA005``   lock-order cycles (ABBA deadlocks) in the project-wide
-            lock-acquisition graph
 ``RA006``   error-envelope contract: server raises map to
             ``wire._ERROR_TYPES`` and both clients decode them
 ``RA007``   fold determinism: no unordered iteration or unseeded
@@ -17,15 +11,11 @@
 ``RA008``   taint: unsanitized request input (body fields, query params,
             path segments) reaching filesystem/cache/allocation/dispatch
             sinks without a registered sanitizer
-``RA009``   resource lifecycle: tasks, pools, sockets, files, and service
-            threads released/awaited/handed-off on every path out of
-            their owning scope
 ==========  ================================================================
 
-A checker is a class with an ``id``, a ``title``, a ``version`` (bump it
-when the checker's logic changes — it keys the on-disk result cache), and a
+A checker is a class with an ``id``, a ``title``, and a
 ``check(sources, context) -> list[Finding]`` method; add new ones to
-``ALL_CHECKERS`` and they ride the waiver/baseline framework for free (see
+``ALL_CHECKERS`` and they ride the waiver framework for free (see
 ``docs/development.md`` for the walkthrough).
 """
 
@@ -52,7 +42,7 @@ class LintContext:
     #: so callers can assert the comparison actually happened.
     summary: dict | None = None
     #: The project-wide call graph, built once per run by the first checker
-    #: that asks (RA001, RA005, RA006 and RA007 all share it).
+    #: that asks (RA001 and RA006-RA008 all share it).
     graph: object | None = None
 
     def note(self, key: str, value) -> None:
@@ -73,9 +63,6 @@ class Checker:
 
     id: str = "RA000"
     title: str = ""
-    #: Bumped whenever the checker's logic changes: part of the on-disk
-    #: result-cache key, so a stale cache can never mask a new rule.
-    version: int = 1
 
     def check(
         self, sources: list[SourceFile], context: LintContext
@@ -87,23 +74,15 @@ def _registry() -> list[type[Checker]]:
     from repro.analysis.checkers.blocking import BlockingInAsyncChecker
     from repro.analysis.checkers.determinism import FoldDeterminismChecker
     from repro.analysis.checkers.error_contract import ErrorEnvelopeChecker
-    from repro.analysis.checkers.lifecycle import ResourceLifecycleChecker
-    from repro.analysis.checkers.lock_order import LockOrderChecker
-    from repro.analysis.checkers.locks import LockDisciplineChecker
-    from repro.analysis.checkers.loop_affinity import LoopAffinityChecker
     from repro.analysis.checkers.taint import TaintChecker
     from repro.analysis.checkers.wire_contract import WireContractChecker
 
     return [
         BlockingInAsyncChecker,
         WireContractChecker,
-        LockDisciplineChecker,
-        LoopAffinityChecker,
-        LockOrderChecker,
         ErrorEnvelopeChecker,
         FoldDeterminismChecker,
         TaintChecker,
-        ResourceLifecycleChecker,
     ]
 
 

@@ -97,7 +97,6 @@ def classify_blocking(raw: str) -> str | None:
 class BlockingInAsyncChecker(Checker):
     id = "RA001"
     title = "blocking call reachable from async def"
-    version = 2  # project-wide: chains now cross module boundaries
 
     def check(self, sources: list[SourceFile], context: LintContext) -> list[Finding]:
         findings: list[Finding] = []

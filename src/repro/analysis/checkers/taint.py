@@ -282,7 +282,6 @@ class _ReturnCollector(Domain):
 class TaintChecker(Checker):
     id = "RA008"
     title = "unsanitized wire input reaching a sensitive sink"
-    version = 1
 
     def check(self, sources: list[SourceFile], context: LintContext) -> list[Finding]:
         graph: ProjectGraph = context.project_graph(sources)

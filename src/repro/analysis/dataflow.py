@@ -3,9 +3,8 @@
 :class:`~repro.analysis.callgraph.ProjectGraph` answers *who calls whom*;
 this module answers *where a value goes*.  :class:`FunctionWalker` runs a
 forward may-analysis over one function body: an environment maps **roots**
-(dotted Name/Attribute chains, the RA003 convention — ``payload``,
-``self._lock``) to sets of :class:`Label` facts, and the walker pushes those
-facts through
+(dotted Name/Attribute chains — ``payload``, ``self._files``) to sets of
+:class:`Label` facts, and the walker pushes those facts through
 
 * assignments, ``+=``, and tuple/starred unpacking (element-wise when the
   right-hand side is a literal tuple of matching arity);
@@ -21,14 +20,14 @@ facts through
 
 What a *call* does to values is the checker's business, not the walker's:
 a :class:`Domain` subclass decides whether ``int(x)`` launders a fact,
-``asyncio.create_task(...)`` mints one, or ``open(path)`` is a sink.  The
-walker hands the domain every call (with receiver and argument values
-already evaluated), every ``with`` item, every ``await``, every store, and
-every ``return``/``yield`` — and :func:`bind_arguments` maps a call's
-arguments onto a resolved callee's parameters so a domain can run a
-**one-level call summary**: re-walk the callee with the caller's facts
-seeded into its parameters, through the same ``ProjectGraph`` edges the
-reachability checkers use.
+``json.loads(...)`` mints one, or ``open(path)`` is a sink.  The walker
+hands the domain every call (with receiver and argument values already
+evaluated), every binary operation, and every ``return``/``yield``;
+``with``, ``await`` and stores just move values along.
+:func:`bind_arguments` maps a call's arguments onto a resolved callee's
+parameters so a domain can run a **one-level call summary**: re-walk the
+callee with the caller's facts seeded into its parameters, through the same
+``ProjectGraph`` edges the reachability checkers use.
 
 Nested ``def``s and lambdas are separate scopes and are skipped, exactly
 like :func:`~repro.analysis.callgraph._own_statements` skips them when
@@ -89,29 +88,6 @@ class Domain:
         for values in kwargs.values():
             out = out | values
         return out
-
-    def store(
-        self,
-        walker: "FunctionWalker",
-        root: str,
-        values: frozenset[Label],
-        node: ast.AST,
-        target: str,
-    ) -> None:
-        """A write to ``root`` (``target`` is name/attribute/subscript)."""
-
-    def with_item(
-        self, walker: "FunctionWalker", node: ast.withitem,
-        values: frozenset[Label],
-    ) -> frozenset[Label]:
-        """Facts bound by ``with expr as x``; default binds the expr's."""
-        return values
-
-    def await_value(
-        self, walker: "FunctionWalker", node: ast.Await,
-        values: frozenset[Label],
-    ) -> frozenset[Label]:
-        return values
 
     def binop(
         self, walker: "FunctionWalker", node: ast.BinOp,
@@ -202,17 +178,14 @@ class FunctionWalker:
     def _bind(self, target: ast.AST, values: frozenset[Label], node: ast.AST):
         if isinstance(target, ast.Name):
             self.env[target.id] = values  # strong update: straight-line kills
-            self.domain.store(self, target.id, values, node, "name")
         elif isinstance(target, ast.Attribute):
             root = dotted_name(target)
             if root is not None:
                 self.env[root] = self.env.get(root, EMPTY) | values
-                self.domain.store(self, root, values, node, "attribute")
         elif isinstance(target, ast.Subscript):
             root = dotted_name(target.value)
             if root is not None:
                 self.env[root] = self.env.get(root, EMPTY) | values
-                self.domain.store(self, root, values, node, "subscript")
         elif isinstance(target, (ast.Tuple, ast.List)):
             parts = None
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
@@ -270,9 +243,7 @@ class FunctionWalker:
                 self._stmt(stmt)
         elif isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
-                values = self.domain.with_item(
-                    self, item, self.eval(item.context_expr)
-                )
+                values = self.eval(item.context_expr)
                 if item.optional_vars is not None:
                     self._bind(item.optional_vars, values, node)
             for stmt in node.body:
@@ -328,7 +299,7 @@ class FunctionWalker:
         if isinstance(node, ast.Call):
             return self._call(node)
         if isinstance(node, ast.Await):
-            return self.domain.await_value(self, node, self.eval(node.value))
+            return self.eval(node.value)
         if isinstance(node, ast.BinOp):
             return self.domain.binop(
                 self, node, self.eval(node.left), self.eval(node.right)

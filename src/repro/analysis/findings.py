@@ -1,36 +1,27 @@
-"""The shared finding/waiver/baseline vocabulary of the ``repro lint`` pass.
+"""The shared finding/waiver vocabulary of the ``repro lint`` pass.
 
 Every checker (:mod:`repro.analysis.checkers`) reports :class:`Finding`
-objects — file:line anchored, tagged with the checker id — and every finding
-can be suppressed two ways:
+objects — file:line anchored, tagged with the checker id — and a finding is
+suppressed by an **inline waiver**: a ``# repro-lint: waive[RA001] reason``
+comment on the offending line (or alone on the line above it) waives the
+named checkers there, *with a mandatory justification* — a waiver without a
+reason is itself a finding (``RA000``).
 
-* **inline waivers**: a ``# repro-lint: waive[RA001] reason`` comment on the
-  offending line (or alone on the line above it) waives the named checkers
-  there, *with a mandatory justification* — a waiver without a reason is
-  itself a finding (``RA000``);
-* **a committed baseline**: ``lint-baseline.json`` pins a set of known
-  findings by (checker, path, symbol, message) — deliberately *not* by line
-  number, so unrelated edits above a baselined finding do not churn the file.
-
-Suppressed findings are still collected and reported (``--format json``
-carries them), they just stop failing the run.
+Waived findings are still collected (``--verbose`` lists them), they just
+stop failing the run.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
-from pathlib import Path
 
 __all__ = [
     "Finding",
     "Waiver",
     "apply_suppressions",
-    "load_baseline",
-    "save_baseline",
     "scan_waivers",
 ]
 
@@ -76,27 +67,17 @@ class Finding:
     line: int
     checker: str
     message: str
-    #: The enclosing function/class qualname when the checker knows it; part
-    #: of the baseline identity, so findings survive line drift.
+    #: The enclosing function/class qualname when the checker knows it.
     symbol: str = ""
 
     @property
     def key(self) -> tuple[str, str, str, str]:
-        """Baseline identity: everything except the (drifting) line number."""
+        """Identity without the line number (one finding per flow)."""
         return (self.checker, self.path, self.symbol, self.message)
 
     def render(self) -> str:
         sym = f" [{self.symbol}]" if self.symbol else ""
         return f"{self.path}:{self.line}: {self.checker}{sym} {self.message}"
-
-    def to_dict(self) -> dict:
-        return {
-            "checker": self.checker,
-            "path": self.path,
-            "line": self.line,
-            "symbol": self.symbol,
-            "message": self.message,
-        }
 
 
 @dataclass(frozen=True)
@@ -110,14 +91,6 @@ class Waiver:
     #: The source lines this waiver suppresses (the comment's own line, plus
     #: the next line when the comment stands alone).
     applies_to: tuple[int, ...] = field(default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "checkers": list(self.checkers),
-            "reason": self.reason,
-        }
 
 
 def scan_waivers(path: str, text: str) -> tuple[list[Waiver], list[Finding]]:
@@ -183,18 +156,15 @@ def scan_waivers(path: str, text: str) -> tuple[list[Waiver], list[Finding]]:
 
 
 def apply_suppressions(
-    findings: list[Finding],
-    waivers: list[Waiver],
-    baseline: set[tuple[str, str, str, str]],
-) -> tuple[list[Finding], list[tuple[Finding, Waiver]], list[Finding]]:
-    """Split findings into (active, waived, baselined) — in that precedence."""
+    findings: list[Finding], waivers: list[Waiver]
+) -> tuple[list[Finding], list[tuple[Finding, Waiver]]]:
+    """Split findings into (active, waived)."""
     by_site: dict[tuple[str, int], list[Waiver]] = {}
     for waiver in waivers:
         for line in waiver.applies_to:
             by_site.setdefault((waiver.path, line), []).append(waiver)
     active: list[Finding] = []
     waived: list[tuple[Finding, Waiver]] = []
-    baselined: list[Finding] = []
     for finding in findings:
         waiver = next(
             (
@@ -206,43 +176,6 @@ def apply_suppressions(
         )
         if waiver is not None:
             waived.append((finding, waiver))
-        elif finding.key in baseline:
-            baselined.append(finding)
         else:
             active.append(finding)
-    return active, waived, baselined
-
-
-def load_baseline(path: Path) -> set[tuple[str, str, str, str]]:
-    """Read a baseline file into a set of finding keys (empty if absent)."""
-    if not path.exists():
-        return set()
-    payload = json.loads(path.read_text())
-    return {
-        (
-            entry["checker"],
-            entry["path"],
-            entry.get("symbol", ""),
-            entry["message"],
-        )
-        for entry in payload.get("findings", ())
-    }
-
-
-def save_baseline(path: Path, findings: list[Finding]) -> None:
-    """Write the line-independent identities of ``findings`` as the baseline."""
-    entries = sorted(
-        {f.key for f in findings}
-    )  # set first: identical keys collapse to one entry
-    payload = {
-        "version": 1,
-        "comment": (
-            "Known repro-lint findings, pinned by (checker, path, symbol, "
-            "message). Regenerate with: repro lint --write-baseline"
-        ),
-        "findings": [
-            {"checker": c, "path": p, "symbol": s, "message": m}
-            for c, p, s, m in entries
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return active, waived

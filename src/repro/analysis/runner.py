@@ -1,34 +1,19 @@
 """Orchestration for ``repro lint``: collect, check, suppress, report.
 
 The runner glues the pieces together: it loads the sources
-(:mod:`repro.analysis.source`), runs every registered checker
-(:mod:`repro.analysis.checkers`), then applies the two suppression layers
-(:func:`repro.analysis.findings.apply_suppressions`) — inline waivers first,
-the committed baseline second.  Only what survives both fails the run.
+(:mod:`repro.analysis.source`), runs every selected checker
+(:mod:`repro.analysis.checkers`), then splits the findings into active and
+waived (:func:`repro.analysis.findings.apply_suppressions`).  Only the
+active ones fail the run.
 
 Defaults are discovery-based so ``repro lint`` works from a checkout *and*
 against an installed package: the source root falls back to the ``repro``
-package directory, the docs/baseline to the enclosing repo root (the first
-ancestor holding ``pyproject.toml``) when one exists.
-
-Because the interesting checkers are *cross-module* (the project-wide call
-graph couples every file to every other), per-file incremental re-analysis
-would be unsound — editing ``wire.py`` can change a finding in
-``coordinator.py``.  The result cache is therefore whole-run: one entry
-per *scope* (file set + checker selection), keyed by the content hash of
-every input (file texts, docs, baseline, checker selection, and each
-checker's ``version``).  A warm run on an unchanged tree skips parsing and
-checking entirely — the hot path hashes file bytes and deserializes the
-previous result — and any edit anywhere invalidates that scope's entry.
-Writes prune stale entries (older checker versions, superseded scopes) so
-the file never accretes dead results.
+package directory, the docs to the enclosing repo root (the first ancestor
+holding ``pyproject.toml``) when one exists.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,36 +22,18 @@ from repro.analysis.findings import (
     Finding,
     Waiver,
     apply_suppressions,
-    load_baseline,
-    save_baseline,
     scan_waivers,
 )
-from repro.analysis.source import SourceFile, collect_source_texts
+from repro.analysis.source import SourceFile, collect_sources
 
 __all__ = [
-    "CACHE_FILENAME",
     "LintOptions",
     "LintResult",
     "default_src_root",
     "discover_repo_root",
     "format_text",
-    "result_to_json",
     "run_lint",
 ]
-
-#: Whole-run result cache, written at the repo root by default; the
-#: ``REPRO_LINT_CACHE`` environment variable (or ``--cache-path``) relocates
-#: it, so CI and local checkouts stop clobbering each other's entries.
-CACHE_FILENAME = ".repro-lint-cache.json"
-
-#: Bump to invalidate every cache entry (serialization format changes).
-#: v2: multi-entry file ({"version", "entries": [...]}) with stale-key
-#: pruning on write.
-_CACHE_VERSION = 2
-
-#: One entry per (file set, checker selection) scope — full tree, a
-#: ``--select`` run, a subset — pruned oldest-first past this bound.
-_MAX_CACHE_ENTRIES = 8
 
 
 def default_src_root() -> Path:
@@ -89,10 +56,7 @@ def discover_repo_root(start: Path | None = None) -> Path | None:
 class LintOptions:
     paths: list[Path] = field(default_factory=list)
     docs_path: Path | None = None
-    baseline_path: Path | None = None
     select: set[str] | None = None  #: checker ids to run (None = all)
-    cache_path: Path | None = None  #: whole-run result cache location
-    use_cache: bool = True
 
     def resolve(self) -> "LintOptions":
         """Fill unset fields via discovery; explicit values always win."""
@@ -102,32 +66,13 @@ class LintOptions:
         if docs is None and root is not None:
             candidate = root / "docs" / "service-api.md"
             docs = candidate if candidate.exists() else None
-        baseline = self.baseline_path
-        if baseline is None and root is not None:
-            candidate = root / "lint-baseline.json"
-            baseline = candidate if candidate.exists() else None
-        cache = self.cache_path
-        if cache is None and self.use_cache:
-            env_path = os.environ.get("REPRO_LINT_CACHE")
-            if env_path:
-                cache = Path(env_path)
-            elif root is not None:
-                cache = root / CACHE_FILENAME
-        return LintOptions(
-            paths=paths,
-            docs_path=docs,
-            baseline_path=baseline,
-            select=self.select,
-            cache_path=cache,
-            use_cache=self.use_cache,
-        )
+        return LintOptions(paths=paths, docs_path=docs, select=self.select)
 
 
 @dataclass
 class LintResult:
-    findings: list[Finding]  #: active (unwaived, unbaselined) — these fail
+    findings: list[Finding]  #: active (unwaived) — these fail
     waived: list[tuple[Finding, Waiver]]
-    baselined: list[Finding]
     files: list[str]
     checkers: list[str]
     summary: dict
@@ -136,176 +81,30 @@ class LintResult:
     def ok(self) -> bool:
         return not self.findings
 
-    def all_findings(self) -> list[Finding]:
-        """Everything the checkers reported, suppression ignored — the set a
-        ``--write-baseline`` pins."""
-        return sorted(
-            set(self.findings)
-            | {f for f, _ in self.waived}
-            | set(self.baselined)
-        )
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8", "surrogateescape")).hexdigest()
-
-
-def _cache_key(
-    options: LintOptions, texts: list[tuple[str, str]], docs_text: str | None
-) -> dict:
-    """Everything that can change the result, content-addressed."""
-    return {
-        "version": _CACHE_VERSION,
-        "files": {rel: _sha256(text) for rel, text in texts},
-        "docs": _sha256(docs_text) if docs_text is not None else None,
-        "baseline": (
-            _sha256(options.baseline_path.read_text())
-            if options.baseline_path is not None and options.baseline_path.exists()
-            else None
-        ),
-        "select": sorted(options.select) if options.select else None,
-        "checkers": {c.id: c.version for c in ALL_CHECKERS},
-    }
-
-
-def _finding_to_cache(finding: Finding) -> dict:
-    return finding.to_dict()
-
-
-def _finding_from_cache(entry: dict) -> Finding:
-    return Finding(
-        path=entry["path"],
-        line=entry["line"],
-        checker=entry["checker"],
-        message=entry["message"],
-        symbol=entry.get("symbol", ""),
-    )
-
-
-def _result_to_cache(result: LintResult) -> dict:
-    return {
-        "findings": [_finding_to_cache(f) for f in result.findings],
-        "waived": [
-            {
-                "finding": _finding_to_cache(f),
-                "waiver": {**w.to_dict(), "applies_to": list(w.applies_to)},
-            }
-            for f, w in result.waived
-        ],
-        "baselined": [_finding_to_cache(f) for f in result.baselined],
-        "files": result.files,
-        "checkers": result.checkers,
-        "summary": result.summary,
-    }
-
-
-def _result_from_cache(payload: dict) -> LintResult:
-    waived = [
-        (
-            _finding_from_cache(entry["finding"]),
-            Waiver(
-                path=entry["waiver"]["path"],
-                line=entry["waiver"]["line"],
-                checkers=tuple(entry["waiver"]["checkers"]),
-                reason=entry["waiver"]["reason"],
-                applies_to=tuple(entry["waiver"].get("applies_to", ())),
-            ),
-        )
-        for entry in payload["waived"]
-    ]
-    return LintResult(
-        findings=[_finding_from_cache(e) for e in payload["findings"]],
-        waived=waived,
-        baselined=[_finding_from_cache(e) for e in payload["baselined"]],
-        files=list(payload["files"]),
-        checkers=list(payload["checkers"]),
-        summary=dict(payload["summary"]),
-    )
-
-
-def _cache_scope(key: dict) -> tuple:
-    """The identity of a cache entry *slot*: which files, which checkers.
-
-    Two runs over the same scope replace each other (only the newest result
-    per scope is worth keeping); runs over different scopes — the full tree
-    vs a ``--changed`` subset vs a ``--select`` pass — coexist.
-    """
-    return (tuple(sorted(key.get("files", {}))), tuple(key.get("select") or ()))
-
-
-def _load_cache_entries(path: Path) -> list[dict]:
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return []
-    if not isinstance(payload, dict) or payload.get("version") != _CACHE_VERSION:
-        return []  # v1 single-entry files (or foreign junk): start cold
-    entries = payload.get("entries")
-    return entries if isinstance(entries, list) else []
-
-
-def _cache_lookup(path: Path, key: dict) -> LintResult | None:
-    for entry in _load_cache_entries(path):
-        if entry.get("key") != key:
-            continue
-        try:
-            return _result_from_cache(entry["result"])
-        except (KeyError, TypeError):  # truncated entry: treat as cold
-            return None
-    return None
-
-
-def _cache_store(path: Path, key: dict, result: LintResult) -> None:
-    """Append the result, pruning as we go: entries written by an older
-    checker set (any id/version drift) or covering this run's scope are
-    stale — keeping them would only serve wrong answers or dead weight."""
-    current_checkers = {c.id: c.version for c in ALL_CHECKERS}
-    scope = _cache_scope(key)
-    entries = [
-        entry
-        for entry in _load_cache_entries(path)
-        if isinstance(entry.get("key"), dict)
-        and entry["key"].get("checkers") == current_checkers
-        and _cache_scope(entry["key"]) != scope
-    ]
-    entries.append({"key": key, "result": _result_to_cache(result)})
-    entries = entries[-_MAX_CACHE_ENTRIES:]
-    try:
-        path.write_text(
-            json.dumps({"version": _CACHE_VERSION, "entries": entries}) + "\n"
-        )
-    except OSError:  # read-only checkout: caching is best-effort
-        pass
-
 
 def run_lint(
     options: LintOptions | None = None, *, sources: list[SourceFile] | None = None
 ) -> LintResult:
-    """Run the analysis pass; ``sources`` overrides file collection (tests)."""
-    options = (options or LintOptions()).resolve()
-    docs_text: str | None = None
-    if options.docs_path is not None and options.docs_path.exists():
-        docs_text = options.docs_path.read_text()
+    """Run the analysis pass; ``sources`` overrides file collection (tests).
 
-    cache_key: dict | None = None
+    Raises :class:`ValueError` when ``select`` names an id no checker has:
+    a pass that runs nothing must not read as clean.
+    """
+    options = (options or LintOptions()).resolve()
+    if options.select:
+        unknown = sorted(options.select - {c.id for c in ALL_CHECKERS})
+        if unknown:
+            raise ValueError(
+                f"unknown checker id(s) {', '.join(unknown)}; registered: "
+                + ", ".join(c.id for c in ALL_CHECKERS)
+            )
     if sources is None:
-        # read texts first: on a warm cache the run ends here, without a
-        # single ast.parse — that is the entire speedup
-        texts: list[tuple[str, str]] = []
-        for path in options.paths:
-            texts.extend(collect_source_texts(path))
-        if options.use_cache and options.cache_path is not None:
-            cache_key = _cache_key(options, texts, docs_text)
-            cached = _cache_lookup(options.cache_path, cache_key)
-            if cached is not None:
-                cached.summary["cache"] = "hit"
-                return cached
-        sources = [SourceFile.from_text(text, rel) for rel, text in texts]
+        sources = [s for path in options.paths for s in collect_sources(path)]
 
     context = LintContext(summary={})
-    if docs_text is not None:
+    if options.docs_path is not None and options.docs_path.exists():
         context.docs_path = options.docs_path
-        context.docs_text = docs_text
+        context.docs_text = options.docs_path.read_text()
     findings: list[Finding] = []
     waivers: list[Waiver] = []
     checker_ids: list[str] = []
@@ -322,33 +121,15 @@ def run_lint(
         file_waivers, malformed = scan_waivers(source.rel, source.text)
         waivers.extend(file_waivers)
         findings.extend(malformed)  # RA000: malformed waivers always surface
-    baseline = (
-        load_baseline(options.baseline_path)
-        if options.baseline_path is not None
-        else set()
-    )
-    active, waived, baselined = apply_suppressions(
-        sorted(set(findings)), waivers, baseline
-    )
+    active, waived = apply_suppressions(sorted(set(findings)), waivers)
     context.summary["waivers"] = len(waivers)
-    result = LintResult(
+    return LintResult(
         findings=active,
         waived=waived,
-        baselined=baselined,
         files=[s.rel for s in sources],
         checkers=checker_ids,
         summary=context.summary,
     )
-    if cache_key is not None and options.cache_path is not None:
-        result.summary["cache"] = "miss"
-        _cache_store(options.cache_path, cache_key, result)
-    return result
-
-
-def write_baseline(result: LintResult, path: Path) -> None:
-    """Pin every finding not already waived inline — the adoption workflow:
-    run once, commit the baseline, and ratchet it down over time."""
-    save_baseline(path, result.findings + result.baselined)
 
 
 def format_text(result: LintResult, *, verbose: bool = False) -> str:
@@ -358,30 +139,10 @@ def format_text(result: LintResult, *, verbose: bool = False) -> str:
     if verbose:
         for finding, waiver in result.waived:
             lines.append(f"{finding.render()}  [waived: {waiver.reason}]")
-        for finding in result.baselined:
-            lines.append(f"{finding.render()}  [baselined]")
-    suppressed = ""
-    if result.waived or result.baselined:
-        suppressed = f" ({len(result.waived)} waived, {len(result.baselined)} baselined)"
+    waived = f" ({len(result.waived)} waived)" if result.waived else ""
     verdict = "clean" if result.ok else f"{len(result.findings)} finding(s)"
     lines.append(
         f"repro lint: {verdict} across {len(result.files)} file(s), "
-        f"checkers {', '.join(result.checkers)}{suppressed}"
+        f"checkers {', '.join(result.checkers)}{waived}"
     )
     return "\n".join(lines)
-
-
-def result_to_json(result: LintResult) -> str:
-    payload = {
-        "version": 1,
-        "ok": result.ok,
-        "files": len(result.files),
-        "checkers": result.checkers,
-        "findings": [f.to_dict() for f in result.findings],
-        "waived": [
-            {"finding": f.to_dict(), "waiver": w.to_dict()} for f, w in result.waived
-        ],
-        "baselined": [f.to_dict() for f in result.baselined],
-        "summary": result.summary,
-    }
-    return json.dumps(payload, indent=2)

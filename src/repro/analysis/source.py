@@ -11,7 +11,7 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["SourceFile", "collect_source_texts", "collect_sources", "load_source"]
+__all__ = ["SourceFile", "collect_sources", "load_source"]
 
 
 @dataclass
@@ -44,26 +44,16 @@ def load_source(path: Path, root: Path | None = None) -> SourceFile:
     return SourceFile(rel=rel, text=text, tree=ast.parse(text, filename=rel))
 
 
-def collect_source_texts(root: Path) -> list[tuple[str, str]]:
-    """``(display_rel, text)`` for every ``*.py`` under ``root`` — the
-    *unparsed* half of :func:`collect_sources`, split out so the result
-    cache can hash file contents without paying for ``ast.parse``."""
-    if root.is_file():
-        return [(_display_path(root, root.parent), root.read_text())]
-    base = root.parent
-    return [
-        (_display_path(path, base), path.read_text())
-        for path in sorted(root.rglob("*.py"))
-        if "__pycache__" not in path.parts
-    ]
-
-
 def collect_sources(root: Path) -> list[SourceFile]:
     """Every ``*.py`` under ``root`` (or just ``root`` if it is a file).
 
     Display paths are kept relative to ``root``'s parent so findings read
     ``repro/service/server.py:...`` wherever the pass is invoked from.
     """
+    if root.is_file():
+        return [load_source(root, root.parent)]
     return [
-        SourceFile.from_text(text, rel) for rel, text in collect_source_texts(root)
+        load_source(path, root.parent)
+        for path in sorted(root.rglob("*.py"))
+        if "__pycache__" not in path.parts
     ]

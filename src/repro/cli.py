@@ -513,118 +513,31 @@ def cmd_client_stats(args) -> int:
     return 0
 
 
-#: Where ``--changed`` looks for lintable files — the same target set the
-#: CI gate lints.  Tests (and especially ``tests/analysis/fixtures/``, which
-#: contain seeded violations on purpose) are out of scope.
-_LINT_ROOTS = ("src/", "scripts/", "benchmarks/")
-
-
-class _GitUnavailable(Exception):
-    """``--changed`` cannot compute a diff here — not an error, a note.
-
-    Raised for every shape of git trouble the hook meets in the wild: a
-    freshly ``git init``-ed repo with no commit yet, a missing/garbage REF,
-    a checkout that is not a git repo at all, or no ``git`` on PATH.  The
-    caller prints the note and exits 0 so pre-commit keeps working."""
-
-
-def _changed_python_files(ref: str):
-    """Lintable Python files touched vs ``ref`` (committed, staged, and
-    untracked), restricted to the CI lint target set."""
-    import subprocess
-    from pathlib import Path
-
-    from repro.analysis.runner import discover_repo_root
-
-    root = discover_repo_root(Path.cwd()) or Path.cwd()
-    names: set[str] = set()
-    for cmd in (
-        ["git", "diff", "--name-only", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                cmd, cwd=root, capture_output=True, text=True, check=False
-            )
-        except OSError as exc:  # no git binary on PATH
-            raise _GitUnavailable(f"cannot run git ({exc})") from exc
-        if proc.returncode != 0:
-            detail = proc.stderr.strip().splitlines()
-            raise _GitUnavailable(
-                f"`{' '.join(cmd)}` failed"
-                + (f" ({detail[0]})" if detail else "")
-            )
-        names.update(line.strip() for line in proc.stdout.splitlines())
-    return [
-        root / name
-        for name in sorted(names)
-        if name.endswith(".py")
-        and name.startswith(_LINT_ROOTS)
-        and (root / name).exists()
-    ]
-
-
 def cmd_lint(args) -> int:
     """Run the repo's own static-analysis pass (`repro lint`).
 
-    Nine AST checkers (RA001-RA009) prove the service layer's concurrency,
-    wire, fold-determinism, taint, and resource-lifecycle contracts —
-    RA001/RA005-RA009 over one project-wide call graph, with RA008/RA009
-    running the dataflow engine on top of it; see docs/development.md for
-    the catalog and the waiver/baseline syntax.  Exits 1 when any
-    unsuppressed finding remains.
+    Five AST checkers (RA001, RA002, RA006-RA008) prove the service layer's
+    loop discipline, wire and error-envelope contracts, fold determinism and
+    request-input taint — RA001 and RA006-RA008 over one project-wide call
+    graph, with RA008 running the dataflow engine on top of it; see
+    docs/development.md for the catalog and the waiver syntax.  Exits 1 when
+    any unwaived finding remains, 2 on an unknown ``--select`` id.
     """
     from pathlib import Path
 
-    from repro.analysis import (
-        LintOptions,
-        format_text,
-        result_to_json,
-        result_to_sarif,
-        run_lint,
-    )
-    from repro.analysis.runner import discover_repo_root, write_baseline
+    from repro.analysis import LintOptions, format_text, run_lint
 
-    paths = [Path(p) for p in args.paths]
-    use_cache = not args.no_cache
-    if args.changed is not None:
-        try:
-            changed = _changed_python_files(args.changed)
-        except _GitUnavailable as exc:
-            # a hook must not explode in a no-commit/detached/ref-less repo;
-            # there is nothing to diff against, so there is nothing to lint
-            print(f"repro lint: --changed skipped, {exc}")
-            return 0
-        if not changed:
-            print(f"repro lint: no Python files changed vs {args.changed}")
-            return 0
-        # the v2 cache is scope-keyed, so a subset run gets its own entry
-        # and can never clobber the whole-tree one
-        paths = changed
     options = LintOptions(
-        paths=paths,
+        paths=[Path(p) for p in args.paths],
         docs_path=Path(args.docs) if args.docs else None,
-        baseline_path=Path(args.baseline) if args.baseline else None,
         select=set(args.select.split(",")) if args.select else None,
-        cache_path=Path(args.cache) if args.cache else None,
-        use_cache=use_cache,
     )
-    result = run_lint(options)
-    if args.write_baseline:
-        target = Path(args.baseline) if args.baseline else None
-        if target is None:
-            root = discover_repo_root()
-            target = (root or Path.cwd()) / "lint-baseline.json"
-        write_baseline(result, target)
-        pinned = len(result.findings) + len(result.baselined)
-        print(f"wrote {pinned} finding(s) to {target}")
-        return 0
-    if args.format == "json":
-        print(result_to_json(result))
-    elif args.format == "sarif":
-        print(result_to_sarif(result))
-    else:
-        print(format_text(result, verbose=args.verbose))
+    try:
+        result = run_lint(options)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(format_text(result, verbose=args.verbose))
     return 0 if result.ok else 1
 
 
@@ -818,7 +731,9 @@ def main(argv: list[str] | None = None) -> int:
     c_tail.set_defaults(func=cmd_client_tail_job)
 
     p_lint = sub.add_parser(
-        "lint", help="run the repo's static-analysis pass (checkers RA001-RA009)"
+        "lint",
+        help="run the repo's static-analysis pass (checkers RA001, RA002, "
+        "RA006-RA008)",
     )
     p_lint.add_argument(
         "paths",
@@ -833,51 +748,12 @@ def main(argv: list[str] | None = None) -> int:
         "(default: docs/service-api.md at the repo root, if present)",
     )
     p_lint.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (sarif suits GitHub code scanning uploads)",
-    )
-    p_lint.add_argument(
-        "--changed",
-        nargs="?",
-        metavar="REF",
-        const="HEAD",
-        default=None,
-        help="lint only Python files changed vs REF (default HEAD) plus "
-        "untracked ones — the fast pre-commit mode",
-    )
-    p_lint.add_argument(
-        "--cache",
-        "--cache-path",
-        dest="cache",
-        metavar="JSON",
-        help="result-cache file (default: $REPRO_LINT_CACHE, else "
-        ".repro-lint-cache.json at the repo root)",
-    )
-    p_lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the result cache",
-    )
-    p_lint.add_argument(
-        "--baseline",
-        metavar="JSON",
-        help="baseline file of known findings (default: lint-baseline.json "
-        "at the repo root, if present)",
-    )
-    p_lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="pin every current finding into the baseline file and exit 0",
-    )
-    p_lint.add_argument(
         "--select",
         metavar="IDS",
-        help="comma-separated checker ids to run (e.g. RA001,RA003)",
+        help="comma-separated checker ids to run (e.g. RA001,RA008)",
     )
     p_lint.add_argument(
-        "--verbose", action="store_true", help="also list waived/baselined findings"
+        "--verbose", action="store_true", help="also list waived findings"
     )
     p_lint.set_defaults(func=cmd_lint)
 

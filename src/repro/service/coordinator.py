@@ -1027,7 +1027,8 @@ class SweepCoordinator:
             reason=reason,
         )
         state.pending.append(shard)
-        # repro-lint: waive[RA004] every caller that passes a state runs on the loop; the probe thread reaches _lose_server with state=None only, so this set() never executes off-loop
+        # runs on the event loop: the probe thread reaches _lose_server with
+        # state=None only, which never requeues
         state.wake.set()
 
     # -- cache folding ----------------------------------------------------

@@ -257,12 +257,10 @@ class _JobJournal:
         (:meth:`flush` closes it on discard, :meth:`close` closes the rest).
         Called only from :meth:`flush`'s ``_io_lock`` region; the plain (not
         reentrant) lock cannot be re-taken here."""
-        # repro-lint: waive[RA003] every call site already holds _io_lock (flush's I/O region); a plain Lock is not reentrant, so taking it here would deadlock
         handle = self._files.get(job_id)
         if handle is None:
             path = os.path.join(self.directory, job_id + wire.JOURNAL_SUFFIX)
             handle = open(path, "ab")
-            # repro-lint: waive[RA003] same _io_lock-held call-site invariant as the read above
             self._files[job_id] = handle
         return handle
 

@@ -248,12 +248,82 @@ class TestImportCycles:
         assert edges_of(g, "pkg.mod:B.m") == set()
 
 
-class TestModuleGraphStillLocal:
-    def test_module_graph_api_unchanged(self):
+class TestModuleGraph:
+    """The per-module pass every ProjectGraph is built from."""
+
+    def local_edges(self, text: str) -> dict[str, set[str]]:
+        mg = ModuleGraph(src("solo.py", text))
+        return {
+            qual: {site.resolved for site in info.calls if site.resolved}
+            for qual, info in mg.functions.items()
+        }
+
+    def test_self_method_nested_def_and_bare_name_resolve_locally(self):
+        edges = self.local_edges(
+            "class C:\n"
+            "    def run(self):\n"
+            "        return self.step()\n"
+            "    def step(self):\n"
+            "        def inner():\n"
+            "            return helper()\n"
+            "        return inner()\n"
+            "def helper():\n    return 1\n"
+        )
+        assert edges["C.run"] == {"C.step"}
+        assert edges["C.step"] == {"C.step.<locals>.inner"}
+        assert edges["C.step.<locals>.inner"] == {"helper"}
+
+    def test_foreign_and_dynamic_targets_stay_unresolved(self):
         mg = ModuleGraph(
             src(
                 "solo.py",
-                "async def main():\n    work()\n" "def work():\n    return 1\n",
+                "import json\n"
+                "def f(obj, make):\n"
+                "    json.dumps(obj)\n"
+                "    obj.method()\n"
+                "    make()()\n",
             )
         )
-        assert set(mg.loop_context()) == {"main", "work"}
+        sites = mg.functions["f"].calls
+        assert {site.raw for site in sites} >= {"json.dumps", "obj.method", "make"}
+        assert [site.resolved for site in sites] == [None] * len(sites)
+
+
+class TestQueries:
+    def test_closure_keeps_one_shortest_chain(self):
+        g = graph(
+            (
+                "pkg/mod.py",
+                "def root():\n    a()\n    leaf()\n"
+                "def a():\n    b()\n"
+                "def b():\n    leaf()\n"
+                "def leaf():\n    return 1\n",
+            ),
+        )
+        chains = g.closure({"pkg.mod:root"})
+        assert chains["pkg.mod:leaf"] == ["pkg.mod:root", "pkg.mod:leaf"]
+        assert chains["pkg.mod:b"] == ["pkg.mod:root", "pkg.mod:a", "pkg.mod:b"]
+
+    def test_closure_ignores_roots_the_graph_does_not_know(self):
+        g = graph(("pkg/mod.py", "def f():\n    return 1\n"))
+        assert g.closure({"pkg.mod:missing", "other:f"}) == {}
+
+    def test_loop_context_leaves_out_code_no_coroutine_reaches(self):
+        g = graph(
+            (
+                "pkg/mod.py",
+                "async def serve():\n    handle()\n"
+                "def handle():\n    return 1\n"
+                "def offline():\n    handle()\n",
+            ),
+        )
+        chains = g.loop_context()
+        assert chains["pkg.mod:handle"] == ["pkg.mod:serve", "pkg.mod:handle"]
+        assert "pkg.mod:offline" not in chains
+
+    def test_display_is_bare_at_home_and_qualified_abroad(self):
+        g = graph(("pkg/util.py", "def helper():\n    return 1\n"))
+        assert g.display("pkg.util:helper", relative_to="pkg.util") == "helper"
+        assert g.display("pkg.util:helper", relative_to="pkg.user") == "util.helper"
+        assert g.display("pkg.util:helper") == "util.helper"
+        assert g.source_of("pkg.util:helper").rel == "pkg/util.py"

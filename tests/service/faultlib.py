@@ -1,14 +1,15 @@
 """Fault-injection harness: real ``repro serve`` subprocesses, killed on cue.
 
-The crash/restart suite (``test_crash_restart.py``) and the restart smoke
-script exercise the job journal the only honest way — ``SIGKILL`` against a
-real server process, so no ``atexit``/``finally`` cleanup ever runs — and
-this module keeps that machinery reusable:
+The crash/restart suite (``test_crash_restart.py``) and the coordinator's
+mid-stream kill (``test_coordinator.py``) exercise recovery the only honest
+way — ``SIGKILL`` against a real server process, so no ``atexit``/``finally``
+cleanup ever runs — and this module keeps that machinery reusable:
 
 - :class:`ServerProcess` spawns ``repro serve`` (optionally with
   ``--journal-dir``), parses the banner for the bound port, and can
-  :meth:`kill` (SIGKILL + wait) and :meth:`restart` **on the same port**
-  with the same journal directory — the full hard-crash + recovery cycle.
+  :meth:`kill` (SIGKILL + wait), :meth:`restart` **on the same port**
+  with the same journal directory — the full hard-crash + recovery cycle —
+  and :meth:`interrupt` (SIGINT, the clean shutdown a survivor must pass).
 - :func:`journaled_rows` / :func:`journaled_entries` count fsync-flushed
   journal entries on disk, which is how tests time their kills: "mid-stream
   at row N" means *N rows durably journaled*, not N rows merely produced.
@@ -134,18 +135,18 @@ class ServerProcess:
         return self.start(timeout=timeout)
 
     def interrupt(self, timeout: float = 30.0) -> str:
-        """SIGINT clean shutdown; returns captured output for assertions."""
+        """SIGINT clean shutdown: waits for the exit and returns the rest of
+        the server's output for assertions."""
         assert self.proc is not None, "server not started"
         if self.proc.poll() is None:
             self.proc.send_signal(signal.SIGINT)
-            deadline = time.monotonic() + timeout
-            while self.proc.poll() is None and time.monotonic() < deadline:
-                time.sleep(0.05)
-            if self.proc.poll() is None:
-                self.proc.kill()
-                self.proc.wait(timeout=10)
-                raise AssertionError(f"server on port {self.port} ignored SIGINT")
-        return self.proc.stdout.read() if self.proc.stdout else ""
+        try:
+            out, _ = self.proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait(timeout=10)
+            raise AssertionError(f"server on port {self.port} ignored SIGINT") from None
+        return out or ""
 
     def stop(self) -> None:
         """Best-effort teardown for fixtures (idempotent)."""

@@ -21,6 +21,8 @@ from repro.service import (
     SweepCoordinator,
 )
 
+from .faultlib import ServerProcess
+
 ARRAY = ArrayConfig(rows=8, cols=8)
 SMALL_ARRAY = ArrayConfig(rows=4, cols=4)
 WORKLOADS = ["gemm", "batched_gemv"]
@@ -577,6 +579,73 @@ class TestPipelinedFolding:
             assert report["reassigned"] >= 1
             assert "server_lost" in [e["event"] for e in events]
             coordinator.close()
+        finally:
+            victim.stop()
+            survivor.stop()
+
+    def test_server_process_sigkilled_on_first_streamed_row(self):
+        """The same crash against real `repro serve` processes: the victim
+        is SIGKILLed the moment one of its jobs streams its first row, so the
+        shard dies with its long-poll open and its fold partly built.  The
+        survivor takes the shard over, the fold over two array configs is
+        local's, and the survivor still shuts down cleanly on SIGINT."""
+        import asyncio
+
+        configs = [ARRAY, SMALL_ARRAY]
+        local = LocalSession(ARRAY).sweep(WORKLOADS, configs=configs, **SWEEP_KW)
+        victim = ServerProcess().start()
+        survivor = ServerProcess().start()
+
+        class KillOnFirstStreamedRow(RemoteSession):
+            armed = True
+
+            def job_rows_async(self, job_id, **kwargs):
+                inner = super().job_rows_async(job_id, **kwargs)
+                if self.url != victim.url:
+                    return inner
+
+                async def wrapped():
+                    async for frame in inner:
+                        if (
+                            KillOnFirstStreamedRow.armed
+                            and frame.get("row") in ("point", "failure")
+                        ):
+                            KillOnFirstStreamedRow.armed = False
+                            # kill() waits for the exit: keep the loop free
+                            await asyncio.get_running_loop().run_in_executor(
+                                None, victim.kill
+                            )
+                        yield frame
+
+                return wrapped()
+
+        def factory(url):
+            return KillOnFirstStreamedRow(url, array=ARRAY, retries=1, backoff=0.05)
+
+        try:
+            coordinator = SweepCoordinator(
+                [victim.url, survivor.url],
+                array=ARRAY,
+                max_inflight=1,
+                retries=1,
+                backoff=0.05,
+                session_factory=factory,
+            )
+            results = coordinator.sweep(WORKLOADS, configs=configs, **SWEEP_KW)
+            report = coordinator.last_report
+            coordinator.close()
+            assert not KillOnFirstStreamedRow.armed, "the victim never streamed a row"
+            assert report["servers_lost"] == 1, report
+            assert report["reassigned"] >= 1, report
+            assert report["rows_streamed"] > 0, report
+            assert [(r.workload, r.array) for r in results] == [
+                (r.workload, r.array) for r in local
+            ]
+            assert names_and_metrics(results) == names_and_metrics(local)
+            assert failure_rows(results) == failure_rows(local)
+            tail = survivor.interrupt()
+            assert survivor.proc.returncode == 0, tail
+            assert "shutdown complete" in tail, tail
         finally:
             victim.stop()
             survivor.stop()

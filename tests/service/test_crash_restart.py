@@ -259,6 +259,7 @@ class TestCrashRestartSweep:
             victim.kill()
             outage["killed"] = True
             victim.restart()
+            outage["back"] = True
 
         try:
             coordinator = SweepCoordinator(
@@ -277,6 +278,7 @@ class TestCrashRestartSweep:
             coordinator.close()
 
             assert outage.get("killed"), "victim never produced 4 journaled rows"
+            assert outage.get("back"), "victim never came back up"
             # the fold is bit-identical to a local sweep...
             assert [r.workload for r in results] == [r.workload for r in local]
             assert [[(p.name, p.metrics()) for p in r] for r in results] == [
@@ -289,9 +291,15 @@ class TestCrashRestartSweep:
             # and the fleet evaluated each design exactly once
             assert report["resumed"] >= 1, (report, [e["event"] for e in events])
             assert report["reassigned"] == 0, report
+            assert report["servers_lost"] == 0, report
             assert "job_resumed" in [e["event"] for e in events]
             fleet_evaluated = sum(r.stats.evaluated for r in results)
             assert fleet_evaluated + report["rows_replayed"] == local_evaluated
+            # both servers, the restarted victim included, shut down cleanly
+            for server in (victim, survivor):
+                tail = server.interrupt()
+                assert server.proc.returncode == 0, tail
+                assert "shutdown complete" in tail, tail
         finally:
             victim.stop()
             survivor.stop()

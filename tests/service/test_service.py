@@ -882,7 +882,9 @@ class TestCleanShutdown:
             probe.getresponse()
 
     def test_cli_serve_subprocess_sigint(self, tmp_path):
-        """`repro serve` on an ephemeral port: serve traffic, exit 0 on SIGINT."""
+        """`repro serve` on an ephemeral port: serve one evaluation, one
+        `evaluate_many` batch over three backends and one NDJSON-streamed
+        explore, then exit 0 on SIGINT."""
         src = Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = (
@@ -900,6 +902,19 @@ class TestCleanShutdown:
             remote = RemoteSession(match.group(0))
             result = remote.evaluate("gemm", "MNK-SST", extents=SMALL)
             assert result.ok
+            requests = [
+                remote.request("gemm", "MNK-SST", backend=backend,
+                               extents={"m": 16, "n": 16, "k": 16})
+                for backend in ("perf", "cost", "fpga")
+            ]
+            batch = remote.evaluate_many(requests)
+            assert [r.backend for r in batch] == ["perf", "cost", "fpga"]
+            assert all(r.ok for r in batch), batch
+            explored = remote.explore(
+                "gemm", extents={"m": 64, "n": 64, "k": 64},
+                selections=[("m", "n", "k")],
+            )
+            assert len(explored) > 20, explored.stats.summary()
             remote.close()
         finally:
             proc.send_signal(signal.SIGINT)
