@@ -4,7 +4,8 @@ The runner glues the pieces together: it loads the sources
 (:mod:`repro.analysis.source`), runs every selected checker
 (:mod:`repro.analysis.checkers`), then splits the findings into active and
 waived (:func:`repro.analysis.findings.apply_suppressions`).  Only the
-active ones fail the run.
+active ones fail the run, and a waiver that suppressed nothing is one of
+them (``RA000``).
 
 Defaults are discovery-based so ``repro lint`` works from a checkout *and*
 against an installed package: the source root falls back to the ``repro``
@@ -88,7 +89,10 @@ def run_lint(
     """Run the analysis pass; ``sources`` overrides file collection (tests).
 
     Raises :class:`ValueError` when ``select`` names an id no checker has:
-    a pass that runs nothing must not read as clean.
+    a pass that runs nothing must not read as clean.  A waiver whose
+    checkers all ran and that suppressed no finding is stale, and becomes
+    an ``RA000`` finding; a waiver for a checker ``select`` left out is not
+    judged.
     """
     options = (options or LintOptions()).resolve()
     if options.select:
@@ -122,9 +126,20 @@ def run_lint(
         waivers.extend(file_waivers)
         findings.extend(malformed)  # RA000: malformed waivers always surface
     active, waived = apply_suppressions(sorted(set(findings)), waivers)
+    used = {waiver for _, waiver in waived}
+    stale = [
+        Finding(
+            path=waiver.path,
+            line=waiver.line,
+            checker="RA000",
+            message=f"stale waiver: no {', '.join(waiver.checkers)} finding here to suppress",
+        )
+        for waiver in waivers
+        if waiver not in used and set(waiver.checkers) <= set(checker_ids)
+    ]
     context.summary["waivers"] = len(waivers)
     return LintResult(
-        findings=active,
+        findings=sorted(active + stale),
         waived=waived,
         files=[s.rel for s in sources],
         checkers=checker_ids,

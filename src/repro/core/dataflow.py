@@ -310,9 +310,9 @@ class DataflowSpec:
         #: classifier; ``None`` until :attr:`flows` solves it otherwise.
         self._flows: tuple[TensorDataflow, ...] | None = None
         #: The design's :func:`repro.core.enumerate.canonical_signature`, set
-        #: by canonical enumeration (which computes it in batch) and by the
-        #: engine's replay of a canonical space from its cache, so consumers
-        #: need not recompute it; ``None`` for specs built any other way.
+        #: by canonical enumeration (which computes it in batch and dedupes
+        #: on it); ``None`` for specs built any other way.  It names the
+        #: hardware, not the mapping, so it is no memo key.
         self.canonical_key: tuple | None = None
         self._name: str | None = None
         self._directions: tuple | None = None

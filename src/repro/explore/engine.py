@@ -13,9 +13,10 @@ the paper benchmarks) runs through:
    rejection reason tallied.
 3. **Evaluate** — each surviving design runs through the performance and cost
    models in enumeration order, one at a time.  A two-level memo cache
-   (in-memory dict + optional on-disk JSON) keyed by
-   ``(canonical_signature, array_config, cost_params)`` skips re-evaluation
-   across repeated sweeps, and a *space* cache skips re-enumeration entirely.
+   (in-memory dict + optional on-disk JSON) keyed by the exact design
+   ``(selection, STT matrix)`` and the array and cost configuration skips
+   re-evaluation across repeated sweeps, and a *space* cache skips
+   re-enumeration entirely.
    (A multi-core sweep shards across ``repro serve`` processes through
    :class:`repro.service.SweepCoordinator`, whose folds are bit-identical to
    a local one.)
@@ -37,12 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.dataflow import DataflowSpec, DataflowType, check_selection
-from repro.core.enumerate import (
-    EnumerationStats,
-    Predicate,
-    canonical_signature,
-    iter_designs,
-)
+from repro.core.enumerate import EnumerationStats, Predicate, iter_designs
 from repro.core.naming import best_spec_from_name
 from repro.core.stt import STT
 from repro.cost.model import CostModel, CostParams
@@ -217,17 +213,17 @@ class MemoCache:
 
     Four sections, all keyed by strings stable across processes and runs:
 
-    - ``points`` — evaluated metrics (or structured failures) keyed by
-      ``(statement, selection, canonical_signature, array_config,
-      cost_params)``.
-    - ``spaces`` — enumerated design spaces keyed by a format tag
-      (:data:`_SPACE_FORMAT`), the statement and the enumeration options.
-      Each design is a ``[selection, STT matrix, canonical key]`` triple,
-      the key being the design's :func:`canonical_signature` as JSON lists
-      (``null`` for non-canonical spaces).  A hit skips the STT-candidate
-      walk and, on square arrays, the key computation.
+    - ``points`` — evaluated metrics (or structured failures) keyed by a
+      format tag (:data:`_SPACE_FORMAT`), the statement, the exact design
+      ``(selection, STT matrix)`` the perf model reads, and the array and
+      cost configuration.  Two STTs that build the same hardware but map
+      the loops differently are two entries.
+    - ``spaces`` — enumerated design spaces keyed by the same tag, the
+      statement and the enumeration options.  Each design is a
+      ``[selection, STT matrix]`` pair; a hit skips the STT-candidate walk.
     - ``names`` — resolved paper dataflow names (``MNK-SST`` -> simplest best
-      STT) keyed by statement, name and scoring configuration.
+      STT) keyed by statement, name and scoring configuration, each stored
+      as one ``[selection, STT matrix]`` pair.
     - ``api`` — whole :class:`repro.api.EvalResult` payloads keyed by the
       canonical :meth:`repro.api.DesignRequest.cache_key`, which is how the
       FPGA resource model and the functional simulator memoize too.
@@ -378,69 +374,33 @@ class MemoCache:
             self._dirty = True
 
 
-#: Leads every ``spaces`` key.  Entries written before the canonical key
-#: was stored (``[selection, matrix]`` pairs under an untagged key) are never
-#: read, and builds that wrote them never read these: after an upgrade each
-#: space is enumerated once more, and its points keep hitting.
-_SPACE_FORMAT = "v2"
-
-
-def _key_to_json(key: tuple | None) -> list | None:
-    """A :func:`canonical_signature` as JSON lists (``None`` stays ``None``)."""
-    if key is None:
-        return None
-    return [[name, kind, [list(vec) for vec in basis]] for name, kind, basis in key]
-
-
-def _key_from_json(key: object, tensors: int) -> tuple:
-    """The :func:`canonical_signature` tuple a stored key encodes.
-
-    Raises ``ValueError`` unless ``key`` holds one ``[name, kind, [[p1, p2,
-    dt], ...]]`` entry per tensor, with string name and kind and components
-    that are exactly ``int`` (a ``bool`` or ``float`` is refused).
-    """
-    if type(key) is not list or len(key) != tensors:
-        raise ValueError(f"canonical key needs {tensors} tensor entries")
-    out = []
-    for entry in key:
-        if type(entry) is not list or len(entry) != 3:
-            raise ValueError("malformed canonical key entry")
-        name, kind, basis = entry
-        if type(name) is not str or type(kind) is not str or type(basis) is not list:
-            raise ValueError("malformed canonical key entry")
-        vecs = []
-        for vec in basis:
-            if type(vec) is not list or len(vec) != 3:
-                raise ValueError("malformed canonical key vector")
-            p1, p2, dt = vec
-            if type(p1) is not int or type(p2) is not int or type(dt) is not int:
-                raise ValueError("canonical key components must be integers")
-            vecs.append((p1, p2, dt))
-        out.append((name, kind, tuple(vecs)))
-    return tuple(out)
+#: Leads every ``points`` and ``spaces`` key, so entries of another format
+#: are never read: after a format change each space is enumerated and each
+#: design evaluated once more.
+_SPACE_FORMAT = "v3"
 
 
 def _replayed_specs(statement: Statement, stored: object) -> list[DataflowSpec] | None:
-    """The specs a ``spaces`` entry records, or ``None`` when it is malformed.
+    """The specs a list of ``[selection, STT matrix]`` pairs records, or
+    ``None`` when it is malformed.
 
-    The entry comes from disk or from another server's ``/v1/cache``, so it
-    is checked again, in one pass, and a malformed design makes the whole
+    A ``spaces`` entry is such a list, and a ``names`` entry is one pair.
+    Either comes from disk or from another server's ``/v1/cache``, so it is
+    checked again, in one pass, and a malformed design makes the whole
     entry a miss: each distinct selection must name three distinct loops of
     ``statement``, and each matrix must be 3x3, full rank and hold exactly
     ``int`` components (a ``float``, ``bool`` or string is refused, never
-    truncated).  The specs are then built without checking again.  A
-    well-formed canonical key is trusted, like a stored point.
+    truncated).  The specs are then built without checking again.
     """
     if type(stored) is not list:
         return None
-    tensors = len(statement.accesses)
     selections: set[tuple] = set()
     specs = []
     try:
         for entry in stored:
-            if type(entry) is not list or len(entry) != 3:
+            if type(entry) is not list or len(entry) != 2:
                 return None
-            sel, matrix, key = entry
+            sel, matrix = entry
             if type(sel) is not list:
                 return None
             selected = tuple(sel)
@@ -457,12 +417,11 @@ def _replayed_specs(statement: Statement, stored: object) -> list[DataflowSpec] 
             det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
             if det == 0:
                 return None
-            spec = DataflowSpec.trusted(
-                statement, selected, STT.trusted(((a, b, c), (d, e, f), (g, h, i)), det)
+            specs.append(
+                DataflowSpec.trusted(
+                    statement, selected, STT.trusted(((a, b, c), (d, e, f), (g, h, i)), det)
+                )
             )
-            if key is not None:
-                spec.canonical_key = _key_from_json(key, tensors)
-            specs.append(spec)
     except (TypeError, ValueError):
         return None
     return specs
@@ -579,19 +538,15 @@ class EvaluationEngine:
         return repr(self._statement_key(statement)), repr(self._config_key())
 
     def _design_key(self, prefix: tuple[str, str], spec: DataflowSpec) -> str:
-        # Canonical signatures identify hardware up to mirroring/rotating the
-        # array, which only preserves the models' outputs when the array is
-        # square; rectangular arrays fall back to the exact signature.
-        # Canonical enumeration and space-cache replay hand their specs over
-        # with the key computed.
-        if self.array.rows == self.array.cols:
-            sig = spec.canonical_key or canonical_signature(spec)
-        else:
-            sig = spec.signature()
-        # byte-identical to repr((statement key, selected, sig, config key)),
-        # so persisted caches keep hitting
+        # The exact (selection, STT): a hardware signature would also match
+        # STTs that map the loops differently, which the perf model reads.
+        # Byte-identical to repr((tag, statement key, selected, matrix,
+        # config key)).
         statement_repr, config_repr = prefix
-        return f"({statement_repr}, {spec.selected!r}, {sig!r}, {config_repr})"
+        return (
+            f"({_SPACE_FORMAT!r}, {statement_repr}, {spec.selected!r}, "
+            f"{spec.stt.matrix!r}, {config_repr})"
+        )
 
     # -- stage 1+2: streaming enumeration with pruning ------------------
     def iter_space(
@@ -609,12 +564,11 @@ class EvaluationEngine:
     ) -> Iterator[DataflowSpec]:
         """Stream the pruned design space, through the space cache when warm.
 
-        A cache hit replays the stored ``(selection, STT matrix, canonical
-        key)`` triples — reconstructing a spec is ~100x cheaper than
-        discovering it, and its replayed :attr:`DataflowSpec.canonical_key`
-        spares :meth:`stream` the signature — and a miss records them as
-        they stream past for the next run.  A malformed entry is a miss, and
-        the re-enumerated space overwrites it.
+        A cache hit replays the stored ``(selection, STT matrix)`` pairs —
+        reconstructing a spec is ~100x cheaper than discovering it — and a
+        miss records them as they stream past for the next run.  A
+        malformed entry is a miss, and the re-enumerated space overwrites
+        it.
         """
         allowed_types = ONE_D_TYPES if one_d_only else None
         stats = stats or EvaluationStats()
@@ -657,11 +611,7 @@ class EvaluationEngine:
         ):
             if cacheable:
                 recorded.append(
-                    [
-                        list(spec.selected),
-                        [list(row) for row in spec.stt.matrix],
-                        _key_to_json(spec.canonical_key),
-                    ]
+                    [list(spec.selected), [list(row) for row in spec.stt.matrix]]
                 )
             yield spec
         if cacheable:
@@ -806,7 +756,9 @@ class EvaluationEngine:
 
         Name resolution walks the full STT candidate stream (the expensive
         part); the resolved ``(selection, matrix)`` pair is memoized in the
-        ``names`` cache section so warm runs skip straight to the model.
+        ``names`` cache section so warm runs skip straight to the model.  A
+        stored pair is checked like a replayed space design, and a malformed
+        one is a miss that is resolved again and overwritten.
         """
         key = None
         if self.cache is not None:
@@ -822,13 +774,9 @@ class EvaluationEngine:
                 )
             )
             stored = self.cache.get("names", key)
-            if stored is not None:
-                sel, matrix = stored
-                return DataflowSpec(
-                    statement,
-                    tuple(sel),
-                    STT(tuple(tuple(row) for row in matrix)),
-                )
+            replayed = None if stored is None else _replayed_specs(statement, [stored])
+            if replayed is not None:
+                return replayed[0]
         spec = best_spec_from_name(
             statement,
             name,

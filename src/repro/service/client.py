@@ -31,7 +31,8 @@ import http.client
 import json
 import random
 import time
-from typing import Any, AsyncIterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, AsyncIterator, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from repro.api.protocol import SessionBase
@@ -53,6 +54,71 @@ def _parse_http_url(url: str) -> tuple[str, int]:
     if not parts.hostname:
         raise ValueError(f"no host in service url {url!r}")
     return parts.hostname, parts.port or 80
+
+
+@dataclass
+class _RowFrames:
+    """The ``/rows`` frame rules, shared by both job-row readers.
+
+    One instance follows one job's row stream across reconnects.  Only the
+    first ``start`` frame is yielded; a later one (a resumed connection's)
+    that carries ``cursor_reset`` becomes a ``{"row": "reset"}`` frame.  A
+    ``reset`` frame zeroes the cursor, a data row's ``seq`` advances it,
+    keepalives and data rows reset the drop budget (keepalives are yielded
+    only with ``keepalives=True``), and the ``end`` frame closes the stream.
+    The readers do only the I/O.
+    """
+
+    job_id: str
+    url: str
+    cursor: int  #: the ``since`` of the next connection
+    keepalives: bool
+    retries: int
+    drops: int = 0
+    started: bool = False
+    ended: bool = False
+
+    def frames(self, rows: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
+        """The frames to yield for ``rows``, read in order off one
+        connection; the ``end`` frame sets :attr:`ended` and drops the rest."""
+        out = []
+        for row in rows:
+            kind = row.get("row")
+            if kind == "start":
+                if not self.started:
+                    self.started = True
+                    out.append(row)
+                elif row.get("cursor_reset"):
+                    self.cursor = 0
+                    out.append({"row": "reset"})
+            elif kind == "reset":
+                self.cursor = 0
+                out.append(row)
+            elif kind == "keepalive":
+                self.drops = 0
+                if self.keepalives:
+                    out.append(row)
+            elif kind == "end":
+                self.ended = True
+                out.append(row)
+                break
+            else:
+                if "seq" in row:
+                    self.cursor = int(row["seq"])
+                self.drops = 0
+                out.append(row)
+        return out
+
+    def dropped(self, exc: BaseException) -> int:
+        """Count a drop without progress and return the count; past the
+        ``retries`` budget, raise :class:`ConnectionError` instead."""
+        self.drops += 1
+        if self.drops > self.retries:
+            raise ConnectionError(
+                f"row stream for job {self.job_id} on {self.url} dropped "
+                f"{self.drops} time(s) without progress: {exc}"
+            ) from exc
+        return self.drops
 
 
 class RemoteSession(SessionBase):
@@ -390,7 +456,6 @@ class RemoteSession(SessionBase):
         since: int = 0,
         keepalive: float | None = None,
         keepalives: bool = False,
-        reconnect: bool = True,
     ):
         """Stream a job's rows live over ``GET /v1/jobs/<id>/rows`` (NDJSON).
 
@@ -409,26 +474,23 @@ class RemoteSession(SessionBase):
         socket, half-written line) is resumed transparently: the client
         reconnects with ``since=<last seen seq>`` so no row is dropped or
         duplicated, up to ``retries`` consecutive drops without progress
-        (then :class:`ConnectionError`).  ``reconnect=False`` restores
-        fail-fast behavior.  A resumed stream's extra ``start`` frame is
-        swallowed — unless it carries ``cursor_reset``, which surfaces as a
-        ``{"row": "reset"}`` frame like the mid-stream server-sent one.
+        (then :class:`ConnectionError`; ``retries=0`` fails fast).  A
+        resumed stream's extra ``start`` frame is swallowed — unless it
+        carries ``cursor_reset``, which surfaces as a ``{"row": "reset"}``
+        frame like the mid-stream server-sent one.
 
         ``keepalive=N`` asks the server to emit ``{"row": "keepalive"}``
         heartbeat frames after ~N idle seconds, so a slow job and a dead
         connection are distinguishable; they are swallowed (but count as
         progress, resetting the drop budget) unless ``keepalives=True``.
         """
-        cursor = int(since)
-        drops = 0
-        started = False
+        rules = _RowFrames(job_id, self.url, int(since), keepalives, self.retries)
         while True:
-            path = f"/v1/jobs/{job_id}/rows?since={cursor}"
+            path = f"/v1/jobs/{job_id}/rows?since={rules.cursor}"
             if keepalive is not None:
                 path += f"&keepalive={float(keepalive):g}"
             try:
                 response = self._stream(path, None, method="GET")
-                resumed = started
                 while True:
                     line = response.readline()
                     if not line:
@@ -442,36 +504,16 @@ class RemoteSession(SessionBase):
                         raise ConnectionError(
                             f"row stream for job {job_id} died mid-line"
                         ) from exc
-                    kind = row.get("row")
-                    if kind == "start":
-                        if not resumed:
-                            started = True
-                            yield row
-                        elif row.get("cursor_reset"):
-                            cursor = 0
-                            yield {"row": "reset"}
-                        continue
-                    if kind == "reset":
-                        cursor = 0
-                        yield row
-                        continue
-                    if kind == "keepalive":
-                        drops = 0
-                        if keepalives:
-                            yield row
-                        continue
-                    if kind == "end":
+                    frames = rules.frames((row,))
+                    if rules.ended:
                         # drain the terminating chunk: an un-drained stream
                         # leaves the keep-alive socket dirty, and the *next*
                         # request on it fails mid-response and retries — for
                         # POST /v1/jobs that submits a duplicate job
                         response.read()
-                        yield row
+                    yield from frames
+                    if rules.ended:
                         return
-                    if "seq" in row:
-                        cursor = int(row["seq"])
-                    drops = 0
-                    yield row
             except GeneratorExit:
                 # consumer abandoned the stream mid-poll: the socket holds
                 # an unread tail, reset it rather than recycle it dirty
@@ -479,12 +521,7 @@ class RemoteSession(SessionBase):
                 raise
             except self._RETRYABLE as exc:
                 self._reset_connection()
-                drops += 1
-                if not reconnect or drops > self.retries:
-                    raise ConnectionError(
-                        f"row stream for job {job_id} on {self.url} dropped "
-                        f"{drops} time(s) without progress: {exc}"
-                    ) from exc
+                drops = rules.dropped(exc)
                 time.sleep(self.backoff * drops * random.uniform(0.5, 1.5))
 
     def job_rows_async(
@@ -686,7 +723,6 @@ class AsyncRemoteSession:
         keepalive: float | None = None,
         idle_timeout: float | None = None,
         keepalives: bool = False,
-        reconnect: bool = True,
     ) -> AsyncIterator[dict[str, Any]]:
         """Async :meth:`RemoteSession.iter_job_rows`: same frames, same resume.
 
@@ -696,20 +732,17 @@ class AsyncRemoteSession:
         a slow job stays connected while a dead server is detected in one
         timeout instead of hanging the consumer.
         """
-        cursor = int(since)
-        drops = 0
-        started = False
+        rules = _RowFrames(job_id, self.url, int(since), keepalives, self.retries)
         while True:
             writer = None
             try:
-                path = f"/v1/jobs/{job_id}/rows?since={cursor}"
+                path = f"/v1/jobs/{job_id}/rows?since={rules.cursor}"
                 if keepalive is not None:
                     path += f"&keepalive={float(keepalive):g}"
                 status, headers, reader, writer = await self._open("GET", path)
                 if status >= 400:
                     data = await self._read_body(reader, headers)
                     wire.raise_remote_error(json.loads(data or b"{}"), status)
-                resumed = started
                 buf = b""
                 while True:
                     chunk = await self._bounded_chunk(reader, idle_timeout)
@@ -718,45 +751,17 @@ class AsyncRemoteSession:
                             f"row stream for job {job_id} ended "
                             "without an end frame"
                         )
-                    buf += chunk
-                    while b"\n" in buf:
-                        line, buf = buf.split(b"\n", 1)
-                        if not line.strip():
-                            continue
-                        row = json.loads(line)
-                        kind = row.get("row")
-                        if kind == "start":
-                            if not resumed:
-                                started = True
-                                yield row
-                            elif row.get("cursor_reset"):
-                                cursor = 0
-                                yield {"row": "reset"}
-                            continue
-                        if kind == "reset":
-                            cursor = 0
-                            yield row
-                            continue
-                        if kind == "keepalive":
-                            drops = 0
-                            if keepalives:
-                                yield row
-                            continue
-                        if kind == "end":
-                            yield row
-                            return
-                        if "seq" in row:
-                            cursor = int(row["seq"])
-                        drops = 0
+                    # a chunk holds any number of lines; the last piece is
+                    # the start of a line a later chunk completes
+                    *lines, buf = (buf + chunk).split(b"\n")
+                    for row in rules.frames(
+                        [json.loads(line) for line in lines if line.strip()]
+                    ):
                         yield row
+                    if rules.ended:
+                        return
             except (ConnectionError, EOFError, OSError, asyncio.TimeoutError) as exc:
-                drops += 1
-                if not reconnect or drops > self.retries:
-                    raise ConnectionError(
-                        f"row stream for job {job_id} on {self.url} dropped "
-                        f"{drops} time(s) without progress: {exc}"
-                    ) from exc
-                await asyncio.sleep(self.backoff * drops)
+                await asyncio.sleep(self.backoff * rules.dropped(exc))
             finally:
                 if writer is not None:
                     writer.close()

@@ -68,6 +68,22 @@ class TestSuppressions:
         assert [f.line for f, _ in waived] == [1, 3, 5]
 
 
+class TestStaleWaivers:
+    STALE = "import time\n\nx = 1  # repro-lint: waive[RA001] nothing blocks here\n"
+
+    def test_waiver_that_suppresses_nothing_fails_the_run(self):
+        source = SourceFile.from_text(self.STALE, rel="mod.py")
+        result = run_lint(LintOptions(), sources=[source])
+        assert not result.ok
+        (stale,) = result.findings
+        assert (stale.checker, stale.line) == ("RA000", 3)
+        assert "stale waiver" in stale.message and "RA001" in stale.message
+
+    def test_waiver_for_a_checker_that_did_not_run_is_not_judged(self):
+        source = SourceFile.from_text(self.STALE, rel="mod.py")
+        assert run_lint(LintOptions(select={"RA008"}), sources=[source]).ok
+
+
 class TestSelect:
     @pytest.mark.parametrize("bad", ["RA000", "RA003", "RA099", "ra001"])
     def test_unregistered_id_raises(self, bad):

@@ -246,19 +246,49 @@ class TestMemoCache:
             (n, r.cycles) for n, r in rows_warm
         ]
 
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            pytest.param(["m", [[1, 0], [0, 1]]], id="short-matrix"),
+            pytest.param("xy", id="string-entry"),
+            pytest.param(None, id="float-component"),
+        ],
+    )
+    def test_malformed_names_entry_is_a_miss(self, tmp_path, stored):
+        """A stored name entry is checked like a replayed space design: a
+        malformed one is resolved again and overwritten, never raised or
+        truncated into another STT."""
+        path = tmp_path / "memo.json"
+        gemm = workloads.gemm(64, 64, 64)
+        fresh = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
+        expected = fresh.resolve_name(gemm, "MNK-SST")
+        fresh.cache.flush()
+        data = json.loads(path.read_text())
+        (key, entry), = data["names"].items()
+        if stored is None:
+            # int() would cut the 1.5 to 1: another STT than the stored one
+            stored = json.loads(json.dumps(entry))
+            row = next(r for r in stored[1] if 0 in r)
+            row[row.index(0)] = 1.5
+        data["names"][key] = stored
+        path.write_text(json.dumps(data))
+
+        engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
+        spec = engine.resolve_name(gemm, "MNK-SST")
+        assert (spec.selected, spec.stt) == (expected.selected, expected.stt)
+        assert engine.cache.dump()["names"][key] == entry
+
 
     @pytest.mark.parametrize("replayed", [False, True])
     @pytest.mark.parametrize("rows, cols", [(8, 8), (8, 4)])
     def test_design_keys_keep_their_bytes(self, rows, cols, replayed):
         """Keys built from the once-per-stream prefix are byte-identical to
-        ``repr((statement key, selection, signature, config key))`` built
-        per design from ``dataclasses.astuple``, so existing cache files
-        keep hitting.  Square arrays key on the canonical signature,
-        rectangular ones on the exact one, whether the specs come from
-        enumeration or from a replay of the space cache."""
+        ``repr((tag, statement key, selection, STT matrix, config key))``
+        built per design from ``dataclasses.astuple``, so cache files keep
+        hitting across processes.  Square and rectangular arrays key the
+        same way, whether the specs come from enumeration or from a replay
+        of the space cache."""
         import dataclasses
-
-        from repro.core.enumerate import canonical_signature
 
         cache = MemoCache()
         engine = EvaluationEngine(ArrayConfig(rows=rows, cols=cols), cache=cache)
@@ -289,34 +319,12 @@ class TestMemoCache:
             dataclasses.astuple(engine.cost.params),
         )
         expected = [
-            repr(
-                (
-                    statement_key,
-                    spec.selected,
-                    canonical_signature(spec) if rows == cols else spec.signature(),
-                    config_key,
-                )
-            )
+            repr(("v3", statement_key, spec.selected, spec.stt.matrix, config_key))
             for spec in specs
         ]
         prefix = engine._key_prefix(statement)
         assert [engine._design_key(prefix, spec) for spec in specs] == expected
         assert sorted(cache.dump()["points"]) == sorted(set(expected))
-
-
-def _counting_signatures(monkeypatch) -> list:
-    """Count the engine's calls to ``canonical_signature``, one entry each."""
-    import repro.explore.engine as engine_mod
-
-    calls = []
-    real = engine_mod.canonical_signature
-
-    def counted(spec):
-        calls.append(spec)
-        return real(spec)
-
-    monkeypatch.setattr(engine_mod, "canonical_signature", counted)
-    return calls
 
 
 def _point_keys(engine, statement, points) -> list[str]:
@@ -333,9 +341,8 @@ def _set_matrix_component(entry, accept, value):
 
 
 class TestSpaceCacheKeys:
-    """The ``spaces`` section stores each design's canonical key beside its
-    ``(selection, STT)`` pair, so a warm stream on a square array computes
-    no signature; the entry format is versioned through the space key."""
+    """The ``spaces`` section stores each design as its ``(selection, STT)``
+    pair; the entry format is versioned through the space key."""
 
     DW = dict(k=8, y=6, x=6, p=3, q=3)
 
@@ -355,56 +362,30 @@ class TestSpaceCacheKeys:
     def _space_entry_value(path, key):
         return json.loads(path.read_text())["spaces"][key]
 
-    def test_warm_stream_computes_no_signature(self, tmp_path, monkeypatch):
+    def test_warm_stream_hits_every_point(self, tmp_path):
         path = tmp_path / "memo.json"
         statement, cold, cold_keys = self._cold(path)
-        calls = _counting_signatures(monkeypatch)
         engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
         warm = engine.evaluate(statement, per_selection_limit=4)
         assert warm.stats.space_cache_hit
         assert warm.stats.cache_hits == len(cold) > 0
         assert _point_keys(engine, statement, warm.points) == cold_keys
-        assert calls == []
 
-    def test_replayed_keys_match_fresh_signatures(self, tmp_path):
-        """Every Table II workload, flushed to JSON and reloaded: each
-        replayed key has the bytes of a freshly computed signature."""
-        from repro.core.dataflow import DataflowSpec
-        from repro.core.enumerate import canonical_signature
-
-        path = tmp_path / "memo.json"
-        statements = [
-            workloads.by_name(name, **{loop: 4 for loop in workloads.accepted_extents(name)})
-            for name in workloads.TABLE_II
-        ]
-        cold = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
-        for statement in statements:
-            list(cold.iter_space(statement, per_selection_limit=8))
-        cold.cache.flush()
-        warm = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
-        replayed = 0
-        for statement in statements:
-            stats = EvaluationStats()
-            for spec in warm.iter_space(statement, per_selection_limit=8, stats=stats):
-                fresh = DataflowSpec(statement, spec.selected, spec.stt)
-                assert repr(spec.canonical_key) == repr(canonical_signature(fresh))
-                replayed += 1
-            assert stats.space_cache_hit
-        assert replayed > 6 * 8
-
-    def test_entry_under_the_untagged_key_is_not_read(self, tmp_path):
-        """Builds before the key was stored wrote ``[selection, matrix]``
-        pairs under an untagged space key; that entry is never read.  The
-        space is enumerated again, and its points still hit."""
+    def test_entry_under_the_v2_key_is_not_read(self, tmp_path):
+        """Builds before the exact point key wrote ``[selection, matrix,
+        canonical key]`` triples under a ``'v2'`` space key; that entry is
+        never read.  The space is enumerated again, and its points hit."""
         import ast
 
         path = tmp_path / "memo.json"
         statement, cold, cold_keys = self._cold(path)
         key, entry = self._space_entry(path)
         tag, *rest = ast.literal_eval(key)
-        assert tag == "v2"
+        assert tag == "v3"
         data = json.loads(path.read_text())
-        data["spaces"] = {repr(tuple(rest)): [[sel, matrix] for sel, matrix, _ in entry]}
+        data["spaces"] = {
+            repr(("v2", *rest)): [[sel, matrix, None] for sel, matrix in entry]
+        }
         path.write_text(json.dumps(data))
 
         engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
@@ -419,16 +400,6 @@ class TestSpaceCacheKeys:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            pytest.param(lambda e: e[0][2].pop(), id="wrong-tensor-count"),
-            pytest.param(lambda e: e[0].__setitem__(2, "key"), id="string-key"),
-            pytest.param(
-                lambda e: next(t for t in e[0][2] if t[2])[2][0].__setitem__(0, 1.0),
-                id="float-component",
-            ),
-            pytest.param(
-                lambda e: next(t for t in e[0][2] if t[2])[2][0].__setitem__(0, True),
-                id="bool-component",
-            ),
             pytest.param(lambda e: e[-1].pop(), id="two-element-entry"),
             pytest.param(lambda e: e[0].__setitem__(1, [[1, 0], [0, 1]]), id="bad-matrix"),
             pytest.param(lambda e: e.append("design"), id="string-design"),
@@ -467,17 +438,56 @@ class TestSpaceCacheKeys:
         assert _point_keys(engine, statement, warm.points) == cold_keys
         assert self._space_entry_value(path, key) == entry  # overwritten
 
-    def test_non_canonical_space_carries_no_key(self, tmp_path, monkeypatch):
-        path = tmp_path / "memo.json"
-        statement, cold, cold_keys = self._cold(path, canonical=False)
-        _, entry = self._space_entry(path)
-        assert [design[2] for design in entry] == [None] * len(entry)
-        calls = _counting_signatures(monkeypatch)
-        engine = EvaluationEngine(ArrayConfig(rows=8, cols=8), cache=path)
-        warm = engine.evaluate(statement, per_selection_limit=4, canonical=False)
-        assert warm.stats.space_cache_hit
-        assert len(calls) == warm.stats.enumerated == cold.stats.enumerated > 0
-        assert _point_keys(engine, statement, warm.points) == cold_keys
+
+def _outcomes(result) -> tuple[list, list]:
+    """A result's points and failures as comparable ``(name, ...)`` rows."""
+    return (
+        [(p.name, p.metrics()) for p in result.points],
+        [(p.name, p.failure) for p in result.failures],
+    )
+
+
+class TestMemoHitEqualsFresh:
+    """A memo hit returns the metrics of the design asked for: two STTs that
+    build the same hardware but map the loops differently are two points."""
+
+    @pytest.mark.parametrize("rows, cols", [(8, 8), (8, 4)])
+    @pytest.mark.parametrize("name", sorted(workloads.TABLE_II))
+    def test_cached_exact_sweep_equals_uncached(self, name, rows, cols):
+        statement = workloads.by_name(name)
+        array = ArrayConfig(rows=rows, cols=cols)
+        options = dict(canonical=False, per_selection_limit=8)
+        fresh = _outcomes(EvaluationEngine(array).evaluate(statement, **options))
+        engine = EvaluationEngine(array, cache=MemoCache())
+        cold = engine.evaluate(statement, **options)
+        warm = engine.evaluate(statement, **options)
+        assert warm.stats.space_cache_hit and warm.stats.evaluated == 0
+        assert _outcomes(cold) == fresh
+        assert _outcomes(warm) == fresh
+
+    @pytest.mark.parametrize(
+        "name, selection",
+        [("depthwise_conv", ("k", "p", "x")), ("batched_gemv", ("m", "n", "k"))],
+    )
+    def test_explicit_spec_after_a_same_hardware_one(self, name, selection):
+        from repro.core.dataflow import DataflowSpec
+        from repro.core.stt import STT
+
+        statement = workloads.by_name(name)
+        a, b = (
+            DataflowSpec(statement, selection, STT(matrix))
+            for matrix in (
+                ((0, 0, 1), (1, 0, 1), (0, 1, 0)),
+                ((1, 0, 1), (0, 0, 1), (0, 1, 0)),
+            )
+        )
+        array = ArrayConfig(rows=8, cols=4)
+        engine = EvaluationEngine(array, cache=MemoCache())
+        engine.evaluate(statement, specs=[a])
+        after_a = engine.evaluate(statement, specs=[b])
+        fresh = EvaluationEngine(array).evaluate(statement, specs=[b])
+        assert _outcomes(after_a) == _outcomes(fresh)
+        assert after_a.stats.cache_hits == 0
 
 
 class TestSweep:
