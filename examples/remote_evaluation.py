@@ -30,7 +30,7 @@ def characterize(session: SessionProtocol) -> dict:
     ]
     perf, cost, fpga = session.evaluate_many(requests)
 
-    # the design-space pipeline (NDJSON-streamed when remote)
+    # the design-space pipeline (a one-item job when remote)
     result = session.explore("gemm", selections=[("m", "n", "k")])
     frontier = sorted(result.pareto(), key=lambda p: p.power_mw)
     return {

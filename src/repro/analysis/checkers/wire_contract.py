@@ -15,10 +15,10 @@ Extraction is structural, not textual, on the Python side:
   ``path.endswith(...)`` (synthesized as ``/v1/jobs/<id>``,
   ``/v1/jobs/<id>/rows``).  Query parameters are every ``params.get("x")``.
 * **clients** — every call through the transport helpers (``_call``,
-  ``_stream``, ``_open``, ``_roundtrip``, ``call``) whose path is a string
-  literal, an f-string (``{...}`` placeholders normalize to ``<id>``), or a
-  local variable assembled from those with ``=`` / ``+=``.  Query strings
-  split off the path and contribute parameter names.
+  ``_open``, ``_roundtrip``) whose path is a string literal, an f-string
+  (``{...}`` placeholders normalize to ``<id>``), or a local variable
+  assembled from those with ``=`` / ``+=``.  Query strings split off the
+  path and contribute parameter names.
 * **docs** — every ``` `METHOD /v1/...` ``` mention (the endpoint index and
   the per-endpoint headings), plus every ``?param=`` / ``&param=`` mention.
 
@@ -47,10 +47,9 @@ __all__ = [
     "extract_server_contract",
 ]
 
-#: Transport helpers whose calls carry ``(method, path)``; value is the
-#: positional index of ``(method, path)`` — ``_stream`` is path-first with
-#: the method in a keyword.
-_TRANSPORT_HELPERS = {"_call", "_open", "_roundtrip", "call"}
+#: Transport helpers whose calls carry ``(method, path)`` as their first
+#: two positional arguments.
+_TRANSPORT_HELPERS = {"_call", "_open", "_roundtrip"}
 
 _DOC_ROUTE_RE = re.compile(r"`(GET|POST|DELETE|PUT|PATCH)\s+(/v1[^`\s]*)")
 _DOC_PARAM_RE = re.compile(r"[?&]([A-Za-z_][A-Za-z0-9_]*)=")
@@ -225,24 +224,12 @@ def extract_client_contract(source: SourceFile) -> WireContract:
             name = dotted_name(sub.func)
             if name is None or "." not in name:
                 continue
-            helper = name.rsplit(".", 1)[-1]
-            method = path_expr = None
-            if helper in _TRANSPORT_HELPERS and len(sub.args) >= 2:
-                method = _const_str(sub.args[0])
-                path_expr = sub.args[1]
-            elif helper == "_stream" and sub.args:
-                method = next(
-                    (
-                        _const_str(kw.value)
-                        for kw in sub.keywords
-                        if kw.arg == "method"
-                    ),
-                    "POST",
-                )
-                path_expr = sub.args[0]
-            if method is None or path_expr is None:
+            if name.rsplit(".", 1)[-1] not in _TRANSPORT_HELPERS or len(sub.args) < 2:
                 continue
-            path = _literal_path(path_expr, local_strings)
+            method = _const_str(sub.args[0])
+            if method is None:
+                continue
+            path = _literal_path(sub.args[1], local_strings)
             if path is not None:
                 contract.add_route(method, path, (source.rel, sub.lineno))
     return contract

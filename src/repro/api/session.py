@@ -53,6 +53,20 @@ from repro.perf.model import ArrayConfig, PerfModel
 __all__ = ["LocalSession", "Session"]
 
 
+def _cached_result(stored: Any) -> EvalResult | None:
+    """A detached ``cached=True`` copy of an ``api`` entry, or ``None`` for
+    a stale entry from another schema or build (a miss, recomputed and
+    overwritten: the same contract as a corrupt file)."""
+    try:
+        # deep-copy so caller mutations of the returned result
+        # can never reach back into the cache's own dicts
+        hit = EvalResult.from_dict(copy.deepcopy(stored))
+    except (SchemaVersionError, ValueError, TypeError, KeyError):
+        return None
+    hit.cached = True
+    return hit
+
+
 class LocalSession(SessionBase):
     """One configured in-process evaluation context: array + cache.
 
@@ -215,19 +229,7 @@ class LocalSession(SessionBase):
         """A detached cache hit (``cached=True``) or ``None`` on a miss."""
         if self.cache is None:
             return None
-        stored = self.cache.get("api", key)
-        if stored is None:
-            return None
-        try:
-            # deep-copy so caller mutations of the returned result
-            # can never reach back into the cache's own dicts
-            hit = EvalResult.from_dict(copy.deepcopy(stored))
-        except (SchemaVersionError, ValueError, TypeError, KeyError):
-            # stale entry from another schema/build: degrade to a
-            # miss and overwrite, same contract as a corrupt file
-            return None
-        hit.cached = True
-        return hit
+        return self.cache.get_decoded("api", key, _cached_result)
 
     def _memo_put(self, key: str, result: EvalResult) -> None:
         # Successes and resolve-stage failures are deterministic facts about

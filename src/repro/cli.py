@@ -43,27 +43,55 @@ from repro.perf.model import ArrayConfig
 __all__ = ["main"]
 
 
+def _extent(text: str) -> tuple[str, int]:
+    """One ``--extent LOOP=N`` value; argparse makes a refusal a usage error."""
+    name, sep, value = text.partition("=")
+    try:
+        size = int(value)
+    except ValueError:
+        size = 0
+    if not name or not sep or size < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected LOOP=N with N a positive integer, got {text!r}"
+        )
+    return name, size
+
+
+def _add_extent(parser: argparse.ArgumentParser, help_text: str) -> None:
+    parser.add_argument(
+        "--extent",
+        action="append",
+        default=[],
+        type=_extent,
+        metavar="LOOP=N",
+        help=help_text,
+    )
+
+
+def _unknown_extents(args) -> str | None:
+    """The error for ``--extent`` loops that none of the workloads has."""
+    names = [args.workload] if "workload" in args else args.workloads
+    accepted = set().union(*map(workloads.accepted_extents, names))
+    unknown = sorted({loop for loop, _ in args.extent} - accepted)
+    if not unknown:
+        return None
+    return (
+        f"extent(s) {', '.join(unknown)} not accepted by any of "
+        f"{', '.join(names)} (valid: {', '.join(sorted(accepted))})"
+    )
+
+
 def _add_common(parser: argparse.ArgumentParser, with_dataflow: bool = True) -> None:
     parser.add_argument("workload", choices=sorted(workloads.TABLE_II))
     if with_dataflow:
         parser.add_argument("dataflow", help="paper-style name, e.g. MNK-SST")
     parser.add_argument("--rows", type=int, default=4)
     parser.add_argument("--cols", type=int, default=4)
-    parser.add_argument(
-        "--extent",
-        action="append",
-        default=[],
-        metavar="LOOP=N",
-        help="override a loop extent (repeatable)",
-    )
+    _add_extent(parser, "override a loop extent (repeatable)")
 
 
 def _statement(args):
-    extents = {}
-    for item in args.extent:
-        name, _, value = item.partition("=")
-        extents[name] = int(value)
-    return workloads.by_name(args.workload, **extents)
+    return workloads.by_name(args.workload, **dict(args.extent))
 
 
 def cmd_generate(args) -> int:
@@ -84,14 +112,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _extents(args) -> dict[str, int]:
-    extents = {}
-    for item in args.extent:
-        name, _, value = item.partition("=")
-        extents[name] = int(value)
-    return extents
-
-
 def _session(args, **kwargs):
     """A :class:`SessionProtocol` for this invocation: local, or remote (--url)."""
     array = ArrayConfig(rows=args.rows, cols=args.cols)
@@ -108,7 +128,7 @@ def _session(args, **kwargs):
 def cmd_verify(args) -> int:
     session = _session(args)
     result = session.evaluate(
-        args.workload, args.dataflow, backend="sim", extents=_extents(args)
+        args.workload, args.dataflow, backend="sim", extents=dict(args.extent)
     )
     if not result.ok:
         print(
@@ -126,7 +146,7 @@ def cmd_verify(args) -> int:
 
 def cmd_evaluate(args) -> int:
     session = _session(args)
-    extents = _extents(args)
+    extents = dict(args.extent)
     perf = session.evaluate(
         args.workload,
         args.dataflow,
@@ -188,21 +208,9 @@ def _workload_statement(name: str, extents: dict[str, int]):
 
 
 def _sweep_statements(args):
-    """Validate ``--extent`` against the workloads and instantiate statements.
-
-    Returns ``(statements, error)``; exactly one is ``None``.
-    """
-    extents = _extents(args)
-    accepted = set()
-    for workload in args.workloads:
-        accepted |= workloads.accepted_extents(workload)
-    unknown = sorted(set(extents) - accepted)
-    if unknown:
-        return None, (
-            f"extent(s) {', '.join(unknown)} not accepted by any of "
-            f"{', '.join(args.workloads)} (valid: {', '.join(sorted(accepted))})"
-        )
-    return [_workload_statement(name, extents) for name in args.workloads], None
+    """The statements of ``args.workloads``, each with the extents it takes."""
+    extents = dict(args.extent)
+    return [_workload_statement(name, extents) for name in args.workloads]
 
 
 def _print_sweep_results(results, top: int) -> None:
@@ -229,12 +237,8 @@ def _print_sweep_results(results, top: int) -> None:
 
 
 def cmd_explore(args) -> int:
-    statements, error = _sweep_statements(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     session = _session(args, width=args.width)
-    results = session.sweep(statements, one_d_only=args.one_d)
+    results = session.sweep(_sweep_statements(args), one_d_only=args.one_d)
     _print_sweep_results(results, args.top)
     return 0
 
@@ -274,10 +278,6 @@ def cmd_sweep(args) -> int:
     """Coordinate one sweep across several ``repro serve`` instances."""
     from repro.service import CoordinatedSession
 
-    statements, error = _sweep_statements(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     session = CoordinatedSession(
         args.urls,
         array=ArrayConfig(rows=args.rows, cols=args.cols),
@@ -291,7 +291,7 @@ def cmd_sweep(args) -> int:
         on_event=_coordinator_event_printer() if args.verbose else None,
     )
     try:
-        results = session.sweep(statements, one_d_only=args.one_d)
+        results = session.sweep(_sweep_statements(args), one_d_only=args.one_d)
     except (ConnectionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -409,13 +409,7 @@ def _add_explore_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rows", type=int, default=16)
     parser.add_argument("--cols", type=int, default=16)
     parser.add_argument("--width", type=int, default=16)
-    parser.add_argument(
-        "--extent",
-        action="append",
-        default=[],
-        metavar="LOOP=N",
-        help="override a loop extent where the workload has it (repeatable)",
-    )
+    _add_extent(parser, "override a loop extent where the workload has it (repeatable)")
     parser.add_argument("--one-d", action="store_true", help="1-D dataflow types only")
     parser.add_argument(
         "--top", type=int, default=5, help="how many best-performing designs to print"
@@ -708,7 +702,9 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(c_eval)
     c_eval.set_defaults(func=cmd_evaluate)
     c_exp = client_sub.add_parser(
-        "explore", parents=[url_parent], help="remote design-space sweep (NDJSON-streamed)"
+        "explore",
+        parents=[url_parent],
+        help="remote design-space sweep (one queued job per workload)",
     )
     _add_explore_args(c_exp)
     c_exp.set_defaults(func=cmd_explore)
@@ -758,6 +754,10 @@ def main(argv: list[str] | None = None) -> int:
     p_lint.set_defaults(func=cmd_lint)
 
     args = parser.parse_args(argv)
+    error = _unknown_extents(args) if "extent" in args else None
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -35,7 +35,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.dataflow import DataflowSpec, DataflowType, check_selection
 from repro.core.enumerate import EnumerationStats, Predicate, iter_designs
@@ -368,6 +368,23 @@ class MemoCache:
                 self.hits += 1
             return value
 
+    def get_decoded(self, section: str, key: str, decode: Callable[[Any], Any]):
+        """``decode`` of the value stored under ``key``, or ``None`` on a miss.
+
+        ``decode`` returns ``None`` for an entry it refuses (malformed, or
+        from another build): a refused entry counts as a miss, and the
+        caller recomputes and overwrites it.
+        """
+        value = self.get(section, key)
+        if value is None:
+            return None
+        value = decode(value)
+        if value is None:
+            with self._lock:
+                self.hits -= 1
+                self.misses += 1
+        return value
+
     def put(self, section: str, key: str, value) -> None:
         with self._lock:
             self._data[section][key] = value
@@ -591,8 +608,9 @@ class EvaluationEngine:
                     per_selection_limit,
                 )
             )
-            stored = self.cache.get("spaces", space_key)
-            replayed = None if stored is None else _replayed_specs(statement, stored)
+            replayed = self.cache.get_decoded(
+                "spaces", space_key, lambda stored: _replayed_specs(statement, stored)
+            )
             if replayed is not None:
                 stats.space_cache_hit = True
                 yield from replayed
@@ -670,9 +688,9 @@ class EvaluationEngine:
         This is the incremental face of :meth:`evaluate`: each design is
         resolved from the memo cache or run through the models the moment it
         comes off the enumeration stream, so a consumer — the evaluation
-        service's NDJSON ``/v1/explore`` endpoint and the job runner's row
-        log in particular — sees results as they are produced instead of
-        after the whole space finishes.  Failures are yielded inline as
+        service's job runner, which appends each design to a job's row log,
+        in particular — sees results as they are produced instead of after
+        the whole space finishes.  Failures are yielded inline as
         points carrying a :class:`DesignFailure`.
 
         Every yielded point carries ``seq`` — its 1-based emission index
@@ -773,8 +791,9 @@ class EvaluationEngine:
                     dataclasses.astuple(self.array),
                 )
             )
-            stored = self.cache.get("names", key)
-            replayed = None if stored is None else _replayed_specs(statement, [stored])
+            replayed = self.cache.get_decoded(
+                "names", key, lambda stored: _replayed_specs(statement, [stored])
+            )
             if replayed is not None:
                 return replayed[0]
         spec = best_spec_from_name(

@@ -6,9 +6,9 @@ PR 2 made every evaluation a versioned, JSON-round-trippable
 
 - :class:`~repro.service.server.EvaluationService` — a stdlib-asyncio
   HTTP/1.1 server exposing ``/v1/evaluate``, ``/v1/evaluate_many``,
-  ``/v1/explore`` (NDJSON streaming), ``/v1/jobs`` (bounded sweep queue
-  with an incremental per-design row log, streamed by the ``/rows`` NDJSON
-  long-poll) and ``/v1/cache/stats``, run via
+  ``/v1/jobs`` (bounded sweep queue with an incremental per-design row
+  log, streamed by the ``/rows`` NDJSON long-poll; a remote explore is a
+  one-item job) and ``/v1/cache/stats``, run via
   ``repro serve`` — the full wire reference is ``docs/service-api.md``;
 - :class:`~repro.service.client.RemoteSession` — the drop-in client: every
   consumer written against :class:`SessionProtocol` runs unmodified against

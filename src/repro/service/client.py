@@ -21,7 +21,7 @@ Usage::
     with RemoteSession("http://127.0.0.1:8321") as session:
         session.evaluate("gemm", "MNK-SST")           # same calls as local
         session.evaluate_many([...])
-        session.explore("gemm").pareto()              # NDJSON-streamed
+        session.explore("gemm").pareto()              # a one-item job
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ import http.client
 import json
 import random
 import time
+import uuid
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Iterable, Mapping, Sequence
+from typing import Any, AsyncIterator, Iterable, Iterator, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from repro.api.protocol import SessionBase
 from repro.api.types import SCHEMA_VERSION, DesignRequest, EvalResult, SchemaVersionError
 from repro.cost.model import CostParams
-from repro.explore.engine import DesignPoint, EvaluationResult, EvaluationStats
+from repro.explore.engine import DesignPoint, EvaluationResult
 from repro.ir.einsum import Statement
 from repro.perf.model import ArrayConfig, PerfResult
 from repro.service import wire
@@ -60,7 +61,10 @@ def _parse_http_url(url: str) -> tuple[str, int]:
 class _RowFrames:
     """The ``/rows`` frame rules, shared by both job-row readers.
 
-    One instance follows one job's row stream across reconnects.  Only the
+    One instance follows one job's row stream across reconnects.  Each
+    NDJSON line is decoded here; a line that is not a JSON object (torn by a
+    dying connection, or garbled on the way) is a drop, raised as
+    :class:`ConnectionError` so the reader resumes at the cursor.  Only the
     first ``start`` frame is yielded; a later one (a resumed connection's)
     that carries ``cursor_reset`` becomes a ``{"row": "reset"}`` frame.  A
     ``reset`` frame zeroes the cursor, a data row's ``seq`` advances it,
@@ -78,36 +82,45 @@ class _RowFrames:
     started: bool = False
     ended: bool = False
 
-    def frames(self, rows: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
-        """The frames to yield for ``rows``, read in order off one
-        connection; the ``end`` frame sets :attr:`ended` and drops the rest."""
-        out = []
-        for row in rows:
+    def frames(self, lines: Iterable[bytes]) -> Iterator[dict[str, Any]]:
+        """The frames to yield for ``lines``, read in order off one
+        connection; the ``end`` frame sets :attr:`ended` and drops the rest.
+        A line that is not a JSON object raises :class:`ConnectionError`
+        after the frames before it."""
+        for line in lines:
+            try:
+                row = json.loads(line)
+            except ValueError:
+                row = None
+            if type(row) is not dict:
+                raise ConnectionError(
+                    f"row stream for job {self.job_id} sent a line that is not "
+                    f"a JSON object: {line[:80]!r}"
+                )
             kind = row.get("row")
             if kind == "start":
                 if not self.started:
                     self.started = True
-                    out.append(row)
+                    yield row
                 elif row.get("cursor_reset"):
                     self.cursor = 0
-                    out.append({"row": "reset"})
+                    yield {"row": "reset"}
             elif kind == "reset":
                 self.cursor = 0
-                out.append(row)
+                yield row
             elif kind == "keepalive":
                 self.drops = 0
                 if self.keepalives:
-                    out.append(row)
+                    yield row
             elif kind == "end":
                 self.ended = True
-                out.append(row)
-                break
+                yield row
+                return
             else:
                 if "seq" in row:
                     self.cursor = int(row["seq"])
                 self.drops = 0
-                out.append(row)
-        return out
+                yield row
 
     def dropped(self, exc: BaseException) -> int:
         """Count a drop without progress and return the count; past the
@@ -225,17 +238,6 @@ class RemoteSession(SessionBase):
             wire.raise_remote_error(parsed, response.status)
         return parsed
 
-    def _stream(
-        self, path: str, payload: Any, method: str = "POST"
-    ) -> http.client.HTTPResponse:
-        """Open an NDJSON stream; the caller must read it to the end."""
-        self._handshake()
-        response = self._roundtrip(method, path, payload)
-        if response.status >= 400:
-            parsed = json.loads(response.read() or b"{}")
-            wire.raise_remote_error(parsed, response.status)
-        return response
-
     def _handshake(self) -> None:
         """Negotiate the wire format once (GET /v1/healthz)."""
         if self._negotiated:
@@ -296,10 +298,12 @@ class RemoteSession(SessionBase):
         extents: Mapping[str, int] | None = None,
         **engine_options,
     ) -> EvaluationResult:
-        """Run the design-space pipeline remotely, streamed as NDJSON.
+        """Run the design-space pipeline remotely, as a one-item job.
 
-        Points arrive (and are reconstructed into real
-        :class:`~repro.explore.engine.DesignPoint` objects) as the server
+        The job queues behind any other job on the server (a full queue
+        raises :class:`~repro.service.wire.ServiceBusyError`), and its rows
+        are read over :meth:`iter_job_rows` and rebuilt into real
+        :class:`~repro.explore.engine.DesignPoint` objects as the server
         produces them; the returned :class:`EvaluationResult` is
         behaviorally identical to the local one — ``best()``, ``pareto()``,
         ``failure_report()`` and the stats all work.
@@ -309,45 +313,32 @@ class RemoteSession(SessionBase):
             workload if isinstance(workload, Statement)
             else wire.instantiate_statement(payload)
         )
-        if engine_options:
-            payload["options"] = dict(engine_options)
-        # always ship the platform: like a LocalSession, *this* session's
-        # array governs when the call carries none — never the server's
-        payload["array"] = wire.array_to_dict(array or self.array)
-        response = self._stream("/v1/explore", payload)
+        job = self.submit_job(
+            [payload],
+            # like a LocalSession, *this* session's array governs when the
+            # call carries none — never the server's
+            configs=[array or self.array],
+            submit_key=uuid.uuid4().hex,
+            **engine_options,
+        )
         points: list[DesignPoint] = []
         failures: list[DesignPoint] = []
-        stats = EvaluationStats()
-        result_array = array or self.array
-        while True:
-            line = response.readline()
-            if not line:
-                break
-            row = json.loads(line)
-            kind = row.get("row")
-            if kind == "start":
-                if row.get("schema_version") != SCHEMA_VERSION:
-                    raise SchemaVersionError(
-                        f"stream schema_version {row.get('schema_version')!r} "
-                        f"!= {SCHEMA_VERSION}"
-                    )
-                result_array = wire.array_from_dict(row["array"])
-            elif kind in ("point", "failure"):
-                point = wire.row_to_point(row, statement)
+        for frame in self.iter_job_rows(job["id"]):
+            kind = frame.get("row")
+            if kind in ("point", "failure"):
+                point = wire.row_to_point(frame, statement)
                 (points if point.ok else failures).append(point)
-            elif kind == "stats":
-                stats = wire.row_to_stats(row)
-            elif kind == "error":
-                raise RuntimeError(
-                    f"remote explore of {statement.name!r} failed: {row['reason']}"
-                )
-        return EvaluationResult(
-            workload=statement.name,
-            array=result_array,
-            points=points,
-            failures=failures,
-            stats=stats,
-        )
+            elif kind == "reset":
+                points.clear()
+                failures.clear()
+        # read to its end, the stream's last frame is the "end" frame
+        if frame.get("status") != "done":
+            raise RuntimeError(
+                f"remote explore of {statement.name!r} failed: job {job['id']} "
+                f"ended {frame.get('status')}: {frame.get('error')}"
+            )
+        (record,) = frame["job"]["results"]
+        return wire.result_from_record(record, points, failures)
 
     def sweep(
         self,
@@ -490,21 +481,18 @@ class RemoteSession(SessionBase):
             if keepalive is not None:
                 path += f"&keepalive={float(keepalive):g}"
             try:
-                response = self._stream(path, None, method="GET")
+                self._handshake()
+                response = self._roundtrip("GET", path, None)
+                if response.status >= 400:
+                    parsed = json.loads(response.read() or b"{}")
+                    wire.raise_remote_error(parsed, response.status)
                 while True:
                     line = response.readline()
                     if not line:
                         raise ConnectionError(
                             f"row stream for job {job_id} ended without an end frame"
                         )
-                    try:
-                        row = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        # a half-written line is a connection death, not data
-                        raise ConnectionError(
-                            f"row stream for job {job_id} died mid-line"
-                        ) from exc
-                    frames = rules.frames((row,))
+                    frames = list(rules.frames((line,)))
                     if rules.ended:
                         # drain the terminating chunk: an un-drained stream
                         # leaves the keep-alive socket dirty, and the *next*
@@ -581,8 +569,7 @@ class AsyncRemoteSession:
     where `http.client`'s one-socket-per-session blocking model would need a
     thread per stream.
 
-    Only the surfaces the coordinator needs are async today: :meth:`call`
-    (JSON round-trip, e.g. ``/v1/healthz``) and :meth:`iter_job_rows`
+    Only the surface the coordinator needs is async: :meth:`iter_job_rows`
     (NDJSON long-poll with reconnect-with-``since`` resume, keepalive
     awareness and an idle timeout).  Everything else stays on the sync
     session.
@@ -656,14 +643,6 @@ class AsyncRemoteSession:
     async def _read_body(
         self, reader: asyncio.StreamReader, headers: Mapping[str, str]
     ) -> bytes:
-        if headers.get("transfer-encoding", "").lower() == "chunked":
-            chunks = []
-            while True:
-                chunk = await self._read_chunk(reader)
-                if chunk is None:
-                    break
-                chunks.append(chunk)
-            return b"".join(chunks)
         length = int(headers.get("content-length") or 0)
         return await reader.readexactly(length) if length else b""
 
@@ -697,24 +676,6 @@ class AsyncRemoteSession:
             return await cls._read_chunk(reader)
 
     # -- the async surface ------------------------------------------------
-    async def call(self, method: str, path: str, payload: Any | None = None) -> Any:
-        """One JSON round-trip; server errors re-raise as local exceptions."""
-        status, headers, reader, writer = await self._open(method, path, payload)
-        try:
-            data = await asyncio.wait_for(
-                self._read_body(reader, headers), self.timeout
-            )
-        finally:
-            writer.close()
-        parsed = json.loads(data) if data else {}
-        if status >= 400:
-            wire.raise_remote_error(parsed, status)
-        return parsed
-
-    async def healthz(self) -> dict[str, Any]:
-        """``GET /v1/healthz`` — capacity and schema advertisement."""
-        return await self.call("GET", "/v1/healthz")
-
     async def iter_job_rows(
         self,
         job_id: str,
@@ -754,9 +715,7 @@ class AsyncRemoteSession:
                     # a chunk holds any number of lines; the last piece is
                     # the start of a line a later chunk completes
                     *lines, buf = (buf + chunk).split(b"\n")
-                    for row in rules.frames(
-                        [json.loads(line) for line in lines if line.strip()]
-                    ):
+                    for row in rules.frames(lines):
                         yield row
                     if rules.ended:
                         return

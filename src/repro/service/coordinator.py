@@ -951,12 +951,8 @@ class SweepCoordinator:
                 f"record(s) for {len(shard.items)} item(s)"
             )
         for item, record in zip(shard.items, records):
-            results[item.index] = EvaluationResult(
-                workload=record["workload"],
-                array=wire.array_from_dict(record["array"]),
-                points=item.points,
-                failures=item.failures,
-                stats=wire.row_to_stats(record["stats"]),
+            results[item.index] = wire.result_from_record(
+                record, item.points, item.failures
             )
 
     # -- failure handling -------------------------------------------------
@@ -1165,7 +1161,7 @@ class CoordinatedSession(SessionBase):
         )
 
     def explore(self, workload, **evaluate_kwargs) -> EvaluationResult:
-        """One workload's design space, on any healthy server (streamed)."""
+        """One workload's design space, as a one-item job on any healthy server."""
         return self._failover(
             lambda session: session.explore(workload, **evaluate_kwargs)
         )

@@ -16,9 +16,6 @@ Endpoints (all under ``/v1``; the full request/response reference lives in
                                backends + job-queue bound (``max_jobs``)
 ``POST /v1/evaluate``          one ``DesignRequest`` -> one ``EvalResult``
 ``POST /v1/evaluate_many``     ``{"requests": [...]}`` -> ``{"results": [...]}``
-``POST /v1/explore``           NDJSON stream: ``start``, then one ``point`` /
-                               ``failure`` row per design *as it is produced*,
-                               then ``stats``
 ``POST /v1/evaluate_names``    paper dataflow names -> per-name perf results
 ``POST /v1/jobs``              submit a sweep job to the bounded queue
                                (503 full); every job keeps a per-design
@@ -98,14 +95,15 @@ class Job:
     (``queued -> running -> done | failed | cancelled``).
 
     Every evaluated design is appended to :attr:`rows` (by
-    :meth:`append_row`) as a ``/v1/explore``-format wire row *while the job
-    runs*, extended with two keys: ``seq`` — the 1-based, job-global,
-    strictly increasing row cursor — and ``item`` — the 0-based index of the
-    (config, workload) item (in configs-major job order) the design belongs
-    to.  The log holds each row as its NDJSON line, encoded once: ``/rows``
-    joins the stored lines and the journal prefixes them.  ``rows`` only
-    ever grows, which is what makes the ``GET /v1/jobs/<id>/rows``
-    long-poll safe to serve from another thread without locking.
+    :meth:`append_row`) as a ``point``/``failure`` wire row
+    (:func:`wire.point_to_row`) *while the job runs*, extended with two
+    keys: ``seq`` — the 1-based, job-global, strictly increasing row cursor
+    — and ``item`` — the 0-based index of the (config, workload) item (in
+    configs-major job order) the design belongs to.  The log holds each row
+    as its NDJSON line, encoded once: ``/rows`` joins the stored lines and
+    the journal prefixes them.  ``rows`` only ever grows, which is what
+    makes the ``GET /v1/jobs/<id>/rows`` long-poll safe to serve from
+    another thread without locking.
     """
 
     id: str
@@ -669,8 +667,6 @@ class EvaluationService:
                 200,
                 {"results": [[name, dataclasses.asdict(r)] for name, r in rows]},
             )
-        elif route == ("POST", "/v1/explore"):
-            await self._explore_stream(payload, writer)
         elif route == ("POST", "/v1/jobs"):
             self._submit_job(payload, writer)
         elif route == ("GET", "/v1/jobs"):
@@ -688,76 +684,6 @@ class EvaluationService:
                 404,
                 {"error": f"no route {method} {path}", "error_type": "LookupError"},
             )
-
-    # -- streaming explore ----------------------------------------------
-    async def _explore_stream(
-        self, payload: Mapping[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
-        # validate everything *before* the headers go out: errors here are
-        # clean JSON responses, errors mid-stream become an "error" row
-        statement = wire.instantiate_statement(payload)
-        array = (
-            wire.array_from_dict(payload["array"]) if payload.get("array") else None
-        )
-        options = _engine_options(payload)
-        wire.check_selections(statement, options.get("selections"))
-        engine = self.session.engine_for(array)
-
-        loop = asyncio.get_running_loop()
-        queue: asyncio.Queue = asyncio.Queue(maxsize=256)
-        stats = EvaluationStats()
-
-        def produce() -> None:
-            """Runs on an executor thread; backpressured by the queue."""
-            try:
-                for point in engine.stream(statement, stats=stats, **options):
-                    asyncio.run_coroutine_threadsafe(
-                        queue.put(("row", wire.point_to_row(point))), loop
-                    ).result()
-                asyncio.run_coroutine_threadsafe(queue.put(("end", None)), loop).result()
-            except BaseException as exc:  # noqa: BLE001 - travels as an error row
-                asyncio.run_coroutine_threadsafe(
-                    queue.put(("error", f"{type(exc).__name__}: {exc}")), loop
-                ).result()
-
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Transfer-Encoding: chunked\r\n"
-            b"\r\n"
-        )
-        start_row = {
-            "row": "start",
-            "schema_version": SCHEMA_VERSION,
-            "workload": statement.name,
-            "array": wire.array_to_dict(array or self.session.array),
-        }
-        self._write_chunk(writer, json.dumps(start_row).encode() + b"\n")
-        producer = loop.run_in_executor(None, produce)
-        try:
-            while True:
-                kind, value = await queue.get()
-                if kind == "row":
-                    self._write_chunk(writer, json.dumps(value).encode() + b"\n")
-                    await writer.drain()
-                elif kind == "error":
-                    error_row = {"row": "error", "reason": value}
-                    self._write_chunk(writer, json.dumps(error_row).encode() + b"\n")
-                    break
-                else:
-                    break
-        finally:
-            # keep draining while the producer finishes: if this handler is
-            # bailing early (client hung up), a backpressured producer would
-            # otherwise block on a full queue forever
-            while not producer.done():
-                try:
-                    queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    await asyncio.sleep(0.005)
-            await producer
-        self._write_chunk(writer, json.dumps(wire.stats_to_row(stats)).encode() + b"\n")
-        writer.write(b"0\r\n\r\n")
 
     # -- jobs -------------------------------------------------------------
     def _submit_job(self, payload: Mapping[str, Any], writer) -> None:
@@ -867,9 +793,9 @@ class EvaluationService:
     ) -> None:
         """``GET /v1/jobs/<id>/rows``: long-poll the row log as chunked NDJSON.
 
-        Mirrors ``/v1/explore`` framing — a ``start`` row, then every job row
-        from the ``since`` cursor on *as the job produces them*, then an
-        ``end`` row carrying the job's terminal status and the final cursor.
+        A ``start`` row, then every job row from the ``since`` cursor on *as
+        the job produces them*, then an ``end`` row carrying the job's
+        terminal status and the final cursor.
         A ``since`` beyond the log (a cursor from a previous life of this job
         id) restarts from row 0: flagged as ``cursor_reset`` on the ``start``
         row when the job is already terminal, or — when a *running* job later
@@ -1101,12 +1027,12 @@ class EvaluationService:
     def _run_sweep_job(self, job: Job) -> bool:
         """Execute one sweep job; returns False when cancelled mid-run.
 
-        Each (config, workload) item streams through the session's engine —
-        the same :meth:`~repro.explore.engine.EvaluationEngine.stream` path
-        as ``/v1/explore`` — and every design lands in :attr:`Job.rows` *as
-        it is evaluated*, tagged with its job-global ``seq`` cursor and its
-        ``item`` index.  That row log is what the ``/rows`` long-poll serves
-        incrementally while the job runs.
+        Each (config, workload) item streams through the session engine's
+        :meth:`~repro.explore.engine.EvaluationEngine.stream`, and every
+        design lands in :attr:`Job.rows` *as it is evaluated*, tagged with
+        its job-global ``seq`` cursor and its ``item`` index.  That row log
+        is what the ``/rows`` long-poll serves incrementally while the job
+        runs.
 
         Cancellation is cooperative at *design* granularity: the flag is
         checked between evaluations — including once more after the last
@@ -1198,11 +1124,7 @@ class EvaluationService:
                     "item": item_index,
                     "points": len(result.points),
                     "failures": len(result.failures),
-                    "stats": {
-                        k: v
-                        for k, v in wire.stats_to_row(result.stats).items()
-                        if k != "row"
-                    },
+                    "stats": wire.stats_to_row(result.stats),
                     "best": [wire.point_to_row(p) for p in result.best(5)],
                     "pareto": [p.name for p in result.pareto()],
                 }

@@ -9,10 +9,11 @@ specific and must be identical on both ends:
   serializable identity of a :class:`~repro.ir.einsum.Statement` (arbitrary
   statements cannot travel; the design-space endpoints accept exactly what
   the CLI accepts);
-- **NDJSON rows** — the streamed ``/v1/explore`` records: one ``start`` row,
-  then a ``point``/``failure`` row per design *as it is produced*, then one
-  ``stats`` row.  Points round-trip losslessly: the ``(selection, STT)`` pair
-  reconstructs the exact :class:`DataflowSpec` client-side;
+- **NDJSON rows** — a job's row log, streamed by ``GET /v1/jobs/<id>/rows``:
+  one ``point``/``failure`` row per design *as it is produced*.  Points
+  round-trip losslessly: the ``(selection, STT)`` pair reconstructs the
+  exact :class:`DataflowSpec` client-side, and :func:`result_from_record`
+  closes a job item's folded rows into an :class:`EvaluationResult`;
 - **error payloads** — exceptions cross the wire as
   ``{"error", "error_type"}`` and are re-raised client-side as the matching
   built-in type, so ``RemoteSession`` surfaces the same ``LookupError`` /
@@ -40,6 +41,7 @@ from repro.core.stt import STT
 from repro.explore.engine import (
     DesignFailure,
     DesignPoint,
+    EvaluationResult,
     EvaluationStats,
 )
 from repro.ir import workloads as workload_lib
@@ -65,6 +67,7 @@ __all__ = [
     "row_to_point",
     "stats_to_row",
     "row_to_stats",
+    "result_from_record",
     "error_payload",
     "raise_remote_error",
     "JOURNAL_SUFFIX",
@@ -134,10 +137,9 @@ def bounded_body(raw: Any, limit: int = MAX_BODY_BYTES) -> int:
     return length
 
 
-#: ``options`` keys the design-space endpoints (``/v1/explore``, job
-#: payloads) may pass through to the engine.  Everything here is
-#: JSON-serializable; ``predicates`` (arbitrary callables) deliberately has
-#: no wire identity.
+#: ``options`` keys a job payload may pass through to the engine.
+#: Everything here is JSON-serializable; ``predicates`` (arbitrary
+#: callables) deliberately has no wire identity.
 ENGINE_OPTIONS = (
     "one_d_only",
     "selections",
@@ -320,7 +322,7 @@ def array_to_dict(array: ArrayConfig) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# NDJSON rows (the /v1/explore stream)
+# NDJSON rows (a job's row log)
 # ----------------------------------------------------------------------
 def point_to_row(point: DesignPoint) -> dict[str, Any]:
     """One streamed design: metrics for successes, stage+reason for failures.
@@ -379,15 +381,30 @@ def row_to_point(row: Mapping[str, Any], statement: Statement) -> DesignPoint:
 
 
 def stats_to_row(stats: EvaluationStats) -> dict[str, Any]:
-    row = dataclasses.asdict(stats)
-    row["row"] = "stats"
-    return row
+    """The ``stats`` of a job's per-item record."""
+    return dataclasses.asdict(stats)
 
 
 def row_to_stats(row: Mapping[str, Any]) -> EvaluationStats:
-    data = {k: v for k, v in row.items() if k != "row"}
+    data = dict(row)
     data["enum"] = EnumerationStats(**data.get("enum", {}))
     return EvaluationStats(**data)
+
+
+def result_from_record(
+    record: Mapping[str, Any],
+    points: list[DesignPoint],
+    failures: list[DesignPoint],
+) -> EvaluationResult:
+    """The :class:`EvaluationResult` of one finished job item: its per-item
+    record (from the ``/rows`` end frame) plus the item's folded rows."""
+    return EvaluationResult(
+        workload=record["workload"],
+        array=array_from_dict(record["array"]),
+        points=points,
+        failures=failures,
+        stats=row_to_stats(record["stats"]),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -407,8 +424,8 @@ JOURNAL_KINDS = ("job", "row", "record", "end")
 def journal_entry(kind: str, fields: Mapping[str, Any]) -> dict[str, Any]:
     """One journal entry: the payload dict tagged with its ``journal`` kind.
 
-    ``row`` entries embed the exact ``/v1/explore``-format wire row (with its
-    ``seq`` and ``item`` keys), ``record`` entries the exact per-item result
+    ``row`` entries embed the exact ``/rows`` wire row (with its ``seq``
+    and ``item`` keys), ``record`` entries the exact per-item result
     record — both are flat merges, which is what lets :func:`replay_journal`
     hand them straight back to a rebuilt ``Job`` without a second codec.
     """

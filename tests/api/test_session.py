@@ -240,10 +240,13 @@ class TestMemoization:
         stale = dict(session.cache._data["api"][key])
         stale["schema_version"] = 99
         session.cache.put("api", key, stale)
+        session.cache.hits = session.cache.misses = 0
         refreshed = Session(SMALL_ARRAY, cache=session.cache).evaluate(
             "gemm", "MNK-SST", extents=SMALL
         )
         assert refreshed.ok and not refreshed.cached  # recomputed + overwritten
+        stats = session.cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 1)  # refused: a miss
         assert Session(SMALL_ARRAY, cache=session.cache).evaluate(
             "gemm", "MNK-SST", extents=SMALL
         ).cached

@@ -439,6 +439,42 @@ class TestSpaceCacheKeys:
         assert self._space_entry_value(path, key) == entry  # overwritten
 
 
+class TestRefusedEntriesCountAsMisses:
+    """An entry the engine refuses as malformed is recomputed, so the cache
+    counts it as a miss, not a hit (GEMM 8x8x8 on a 4x4 array)."""
+
+    GEMM = workloads.gemm(8, 8, 8)
+
+    @staticmethod
+    def _recount(cache: MemoCache) -> tuple[int, int]:
+        stats = cache.stats()
+        return stats["hits"], stats["misses"]
+
+    def test_garbage_space_entry_is_one_miss(self):
+        cache = MemoCache()
+        engine = EvaluationEngine(ArrayConfig(rows=4, cols=4), cache=cache)
+        engine.evaluate(self.GEMM)
+        (key,) = cache.dump()["spaces"]
+        cache.put("spaces", key, "garbage")
+        cache.hits = cache.misses = 0
+        rerun = engine.evaluate(self.GEMM)
+        assert not rerun.stats.space_cache_hit
+        designs = len(rerun.points) + len(rerun.failures)
+        assert designs == 207
+        assert self._recount(cache) == (designs, 1)
+
+    def test_malformed_names_entry_is_one_miss(self):
+        cache = MemoCache()
+        engine = EvaluationEngine(ArrayConfig(rows=4, cols=4), cache=cache)
+        expected = engine.resolve_name(self.GEMM, "MNK-SST")
+        (key,) = cache.dump()["names"]
+        cache.put("names", key, "xy")
+        cache.hits = cache.misses = 0
+        spec = engine.resolve_name(self.GEMM, "MNK-SST")
+        assert (spec.selected, spec.stt) == (expected.selected, expected.stt)
+        assert self._recount(cache) == (0, 1)
+
+
 def _outcomes(result) -> tuple[list, list]:
     """A result's points and failures as comparable ``(name, ...)`` rows."""
     return (

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.api import DesignRequest, LocalSession
 from repro.api.types import MAX_NAMES, MAX_RESOLVE_LIMIT
 from repro.perf.model import ArrayConfig
-from repro.service import ServiceThread
+from repro.service import RemoteSession, ServiceThread
 from repro.service import wire
 
 BODY_LIMIT = 4096
@@ -210,12 +210,6 @@ class TestBoundCap:
         assert status == 400
         assert "bound" in json.loads(raw)["error"]
 
-    def test_explore_with_bound_3_is_400_before_the_stream(self, service):
-        body = json.dumps(dict(self.GEMM, options={"bound": 3})).encode()
-        status, raw = _post(service, "/v1/explore", body)
-        assert status == 400
-        assert "bound" in json.loads(raw)["error"]
-
     def test_evaluate_with_bound_3_is_a_resolve_failure(self, service):
         request = DesignRequest(workload="gemm", extents=self.GEMM["extents"],
                                 dataflow="MNK-SST", options={"bound": 3})
@@ -240,36 +234,28 @@ class TestBoundCap:
                 wire.engine_options({"options": {"bound": bound}})
 
 
-class TestEngineOptions:
-    """The engine options of ``/v1/explore`` and job payloads pass one
-    validator (``wire.engine_options``) before any work: a flag must be a
-    JSON boolean and ``per_selection_limit`` null or an integer >= 1.  The
-    sweep coordinator runs it before it submits, and the library's
-    enumeration refuses the same limits."""
+def _explore(service, **options):
+    """A remote explore of an 8x8x8 GEMM on a 4x4 array (a one-item job)."""
+    remote = RemoteSession(service.url, array=ArrayConfig(rows=4, cols=4))
+    try:
+        return remote.explore("gemm", extents={"m": 8, "n": 8, "k": 8}, **options)
+    finally:
+        remote.close()
 
-    GEMM = {"workload": "gemm", "extents": {"m": 8, "n": 8, "k": 8},
-            "array": {"rows": 4, "cols": 4}}
+
+class TestEngineOptions:
+    """The engine options of job payloads pass one validator
+    (``wire.engine_options``) before any work: a flag must be a JSON boolean
+    and ``per_selection_limit`` null or an integer >= 1.  The sweep
+    coordinator runs it before it submits, and the library's enumeration
+    refuses the same limits."""
+
+    GEMM = {"workload": "gemm", "extents": {"m": 8, "n": 8, "k": 8}}
     BAD = [("per_selection_limit", v) for v in (0, -3, True, False, "abc", 1.5, "1")] + [
         (flag, v)
         for flag in ("one_d_only", "realizable_only", "canonical")
         for v in ("false", "no", 0, 1, None)
     ]
-
-    def _explore(self, service, **options):
-        body = json.dumps(dict(self.GEMM, options=options)).encode()
-        status, raw = _post(service, "/v1/explore", body)
-        if status != 200:
-            return status, json.loads(raw)
-        rows = [json.loads(line) for line in raw.decode().splitlines()]
-        assert [row["row"] for row in rows[:1] + rows[-1:]] == ["start", "stats"], rows
-        return status, [row for row in rows if row["row"] in ("point", "failure", "error")]
-
-    @pytest.mark.parametrize("field, value", BAD)
-    def test_explore_refuses_before_the_stream(self, service, field, value):
-        status, payload = self._explore(service, **{field: value})
-        assert status == 400, payload
-        assert payload["error_type"] == "ValueError"
-        assert field in payload["error"]
 
     @pytest.mark.parametrize("field, value", BAD)
     def test_job_submit_refuses(self, service, field, value):
@@ -300,14 +286,13 @@ class TestEngineOptions:
                 next(iter_specs(gemm, ("m", "n", "k"), limit=value))
 
     def test_valid_options_still_answer(self, service):
-        status, one = self._explore(service, per_selection_limit=1)
-        assert status == 200 and [row["row"] for row in one] == ["point"], one
-        status, every = self._explore(service, per_selection_limit=None, one_d_only=False,
-                                      realizable_only=True, canonical=True)
-        assert status == 200 and len(every) > 1, every
-        assert all(row["row"] == "point" for row in every)
-        status, exact = self._explore(service, canonical=False, per_selection_limit=2)
-        assert status == 200 and len(exact) > len(one), exact
+        one = _explore(service, per_selection_limit=1)
+        assert len(one.points) == 1 and not one.failures, one
+        every = _explore(service, per_selection_limit=None, one_d_only=False,
+                         realizable_only=True, canonical=True)
+        assert len(every.points) > 1 and not every.failures, every
+        exact = _explore(service, canonical=False, per_selection_limit=2)
+        assert len(exact) > len(one), exact
         options = {"per_selection_limit": None, "canonical": False}
         assert wire.engine_options({"options": options}) == options
 
@@ -316,12 +301,11 @@ class TestSelections:
     """``selections`` must be a list of lists of loop names
     (``wire.engine_options``), and each entry 3 distinct loops of the
     statement with none repeated (``wire.check_selections``).  Both run where
-    the statement is instantiated: ``/v1/explore`` and job submit answer 400
-    before any work, and the sweep coordinator refuses before it submits.
-    The library's enumeration keeps counting such entries as invalid."""
+    the statement is instantiated: job submit answers 400 before any work,
+    and the sweep coordinator refuses before it submits.  The library's
+    enumeration keeps counting such entries as invalid."""
 
-    GEMM = {"workload": "gemm", "extents": {"m": 8, "n": 8, "k": 8},
-            "array": {"rows": 4, "cols": 4}}
+    GEMM = {"workload": "gemm", "extents": {"m": 8, "n": 8, "k": 8}}
     #: (selections, a fragment the error must carry)
     BAD = [
         ("mnk", "selections must be a list"),  # would split into one-letter entries
@@ -335,15 +319,6 @@ class TestSelections:
     ]
     IDS = ["string", "object", "ints", "string-entry", "unknown-loop", "two-loops",
            "same-loop-twice", "repeated"]
-
-    @pytest.mark.parametrize("selections, named", BAD, ids=IDS)
-    def test_explore_refuses_before_the_stream(self, service, selections, named):
-        body = json.dumps(dict(self.GEMM, options={"selections": selections})).encode()
-        status, raw = _post(service, "/v1/explore", body)
-        assert status == 400, raw
-        payload = json.loads(raw)
-        assert payload["error_type"] == "ValueError"
-        assert named in payload["error"], payload
 
     @pytest.mark.parametrize("selections, named", BAD, ids=IDS)
     def test_job_submit_refuses(self, service, selections, named):
@@ -366,12 +341,9 @@ class TestSelections:
         assert coordinator.last_report == {}  # nothing was partitioned into jobs
 
     def test_distinct_selections_still_answer(self, service):
-        options = {"selections": [["m", "n", "k"], ["k", "n", "m"]], "per_selection_limit": 1}
-        body = json.dumps(dict(self.GEMM, options=options)).encode()
-        status, raw = _post(service, "/v1/explore", body)
-        assert status == 200, raw
-        rows = [json.loads(line) for line in raw.decode().splitlines()]
-        assert [row["row"] for row in rows] == ["start", "point", "point", "stats"], rows
+        result = _explore(service, selections=[["m", "n", "k"], ["k", "n", "m"]],
+                          per_selection_limit=1)
+        assert len(result.points) == 2 and not result.failures, result
 
 
 class TestResolveOptions:
@@ -523,7 +495,6 @@ class TestArrayLimits:
         return {
             "/v1/evaluate": request,
             "/v1/evaluate_many": {"requests": [request]},
-            "/v1/explore": dict(statement, array=array),
             "/v1/evaluate_names": dict(statement, names=["MNK-SST"], array=array),
             "/v1/jobs": {"workloads": ["gemm"], "extents": self.EXTENTS, "configs": [array]},
         }

@@ -1,5 +1,6 @@
 """The evaluation service: wire protocol, streaming, jobs, shutdown."""
 
+import asyncio
 import http.client
 import itertools
 import json
@@ -75,6 +76,9 @@ class TestWireProtocol:
     def test_unknown_route_is_404(self, remote):
         with pytest.raises(LookupError, match="no route"):
             remote._call("GET", "/v1/nope")
+        # a remote explore is a one-item job: the explore stream is gone
+        with pytest.raises(LookupError, match="no route POST /v1/explore"):
+            remote._call("POST", "/v1/explore", {"workload": "gemm"})
 
     def test_invalid_json_body_is_400(self, cached_service):
         conn = _raw(cached_service)
@@ -164,47 +168,6 @@ class TestEvaluation:
 
 
 class TestStreaming:
-    def test_explore_streams_ndjson_rows(self, cached_service):
-        """Raw wire check: chunked NDJSON with start/point/stats framing."""
-        conn = _raw(cached_service)
-        payload = {
-            "workload": "gemm",
-            "extents": {"m": 64, "n": 64, "k": 64},
-            "options": {"selections": [["m", "n", "k"]]},
-        }
-        conn.request(
-            "POST", "/v1/explore", body=json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        response = conn.getresponse()
-        assert response.status == 200
-        assert response.getheader("Content-Type") == "application/x-ndjson"
-        rows = [json.loads(line) for line in response.read().splitlines()]
-        conn.close()
-        assert rows[0]["row"] == "start"
-        assert rows[0]["workload"] == "gemm"
-        assert rows[-1]["row"] == "stats"
-        kinds = {row["row"] for row in rows[1:-1]}
-        assert kinds <= {"point", "failure"} and "point" in kinds
-        assert rows[-1]["enumerated"] == len(rows) - 2
-
-    def test_streamed_rows_arrive_incrementally(self, cached_service):
-        """The first design rows land before the sweep finishes — streaming,
-        not buffer-then-dump."""
-        conn = _raw(cached_service)
-        payload = {"workload": "gemm", "extents": {"m": 64, "n": 64, "k": 64}}
-        conn.request(
-            "POST", "/v1/explore", body=json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        response = conn.getresponse()
-        first_rows = [json.loads(response.readline()) for _ in range(3)]
-        remaining = response.read().splitlines()
-        conn.close()
-        assert first_rows[0]["row"] == "start"
-        assert all(r["row"] in ("point", "failure") for r in first_rows[1:])
-        assert json.loads(remaining[-1])["row"] == "stats"
-
     def test_remote_explore_counts_are_complete(self, remote):
         """Every enumerated design reaches the client as a point or failure."""
         result = remote.explore("gemm", extents={"m": 64, "n": 64, "k": 64})
@@ -224,6 +187,22 @@ class TestStreaming:
             remote.explore("gemm", extents={"M": 64})
         with pytest.raises(TypeError):
             LocalSession(ArrayConfig(rows=4, cols=4)).explore("gemm", extents={"M": 64})
+
+    def test_failed_job_raises_naming_the_workload_and_error(self):
+        """A remote explore is a one-item job: a job that fails raises
+        RuntimeError with the workload, the job and the server's error."""
+
+        class Broken(LocalSession):
+            def engine_for(self, array):
+                raise RuntimeError("no engine today")
+
+        with ServiceThread(Broken(SMALL_ARRAY)) as srv:
+            remote = RemoteSession(srv.url, array=SMALL_ARRAY)
+            with pytest.raises(RuntimeError, match=r"'gemm' failed: job job-1 ended "
+                               r"failed: RuntimeError: no engine today"):
+                remote.explore("gemm", extents=SMALL)
+            assert [job["status"] for job in remote.jobs()] == ["failed"]
+            remote.close()
 
 
 def _wait_terminal(remote, job_id, budget=120):
@@ -728,6 +707,7 @@ class TestJobRowStreaming:
             def __init__(self, response, left):
                 self._response = response
                 self._left = left
+                self.status = response.status
 
             def readline(self):
                 if self._left == 0:
@@ -742,8 +722,8 @@ class TestJobRowStreaming:
         class DroppingSession(RemoteSession):
             dropped = False
 
-            def _stream(self, path, payload, method="POST"):
-                response = super()._stream(path, payload, method)
+            def _roundtrip(self, method, path, payload):
+                response = super()._roundtrip(method, path, payload)
                 if self.dropped or "/rows" not in path:
                     return response
                 self.dropped = True
@@ -780,6 +760,73 @@ class TestJobRowStreaming:
         with pytest.raises(ConnectionError, match="without progress"):
             list(session.iter_job_rows(job["id"]))
         session.close()
+
+
+def _chunked(*chunks: bytes) -> bytes:
+    """An HTTP chunked body of ``chunks``, without the terminating chunk."""
+    return b"".join(f"{len(c):X}\r\n".encode() + c + b"\r\n" for c in chunks)
+
+
+def _line(row: dict) -> bytes:
+    return json.dumps(row).encode() + b"\n"
+
+
+def _point(seq: int) -> dict:
+    return {"row": "point", "seq": seq, "item": 0, "selection": ["m", "n", "k"]}
+
+
+class TestAsyncRowReader:
+    """``AsyncRemoteSession.iter_job_rows`` over scripted connections."""
+
+    @staticmethod
+    def _scripted(bodies: list[bytes]):
+        """A session whose n-th connection reads ``bodies[n]``; returns it and
+        the list of paths it opened."""
+        from repro.service.client import AsyncRemoteSession
+
+        class Writer:
+            def close(self):
+                pass
+
+        session = AsyncRemoteSession("http://127.0.0.1:9", retries=2, backoff=0.0)
+        paths: list[str] = []
+
+        async def scripted_open(method, path, payload=None):
+            reader = asyncio.StreamReader()
+            reader.feed_data(bodies[len(paths)])
+            reader.feed_eof()
+            paths.append(path)
+            return 200, {"transfer-encoding": "chunked"}, reader, Writer()
+
+        session._open = scripted_open
+        return session, paths
+
+    @staticmethod
+    def _frames(session) -> list[dict]:
+        async def collect():
+            return [frame async for frame in session.iter_job_rows("job-1")]
+
+        return asyncio.run(collect())
+
+    @pytest.mark.parametrize("garbled", [b'{"row": "poi\n', b"[1, 2]\n"], ids=["torn", "array"])
+    def test_garbled_line_is_a_drop_resumed_at_the_cursor(self, garbled):
+        start = {"row": "start", "id": "job-1", "status": "running"}
+        end = {"row": "end", "status": "done", "rows_total": 3}
+        session, paths = self._scripted([
+            _chunked(_line(start) + _line(_point(1)) + _line(_point(2)), garbled),
+            _chunked(_line(start) + _line(_point(3)) + _line(end)),
+        ])
+        frames = self._frames(session)
+        assert paths == ["/v1/jobs/job-1/rows?since=0", "/v1/jobs/job-1/rows?since=2"]
+        assert [f["row"] for f in frames] == ["start", "point", "point", "point", "end"]
+        assert [f["seq"] for f in frames if f["row"] == "point"] == [1, 2, 3]
+
+    def test_garbled_lines_past_the_retry_budget_raise(self):
+        start = {"row": "start", "id": "job-1", "status": "running"}
+        session, paths = self._scripted([_chunked(_line(start), b"nope\n")] * 3)
+        with pytest.raises(ConnectionError, match="not a JSON object"):
+            self._frames(session)
+        assert len(paths) == 3  # the first connection and two retries
 
 
 class TestRetryBackoff:

@@ -82,6 +82,36 @@ def test_explore_unknown_extent_rejected(capsys):
     assert "mm" in capsys.readouterr().err
 
 
+#: Every subcommand that takes ``--extent``; none reaches a server here.
+_EXTENT_COMMANDS = [
+    ["generate", "gemm", "MNK-SST"],
+    ["verify", "gemm", "MNK-SST"],
+    ["evaluate", "gemm", "MNK-SST"],
+    ["enumerate", "gemm"],
+    ["explore", "gemm"],
+    ["sweep", "gemm", "--url", "http://127.0.0.1:9"],
+    ["client", "verify", "gemm", "MNK-SST", "--url", "http://127.0.0.1:9"],
+    ["client", "evaluate", "gemm", "MNK-SST", "--url", "http://127.0.0.1:9"],
+    ["client", "explore", "gemm", "--url", "http://127.0.0.1:9"],
+]
+
+
+@pytest.mark.parametrize("bad", ["m=abc", "m", "m=0", "q=4"])
+@pytest.mark.parametrize(
+    "command", _EXTENT_COMMANDS, ids=lambda c: "-".join(w for w in c[:2] if w != "gemm")
+)
+def test_bad_extent_is_a_usage_error(command, bad, capsys):
+    """A malformed, non-positive or foreign ``--extent`` exits 2 with an
+    ``error:`` line, never a traceback, before any work starts."""
+    try:
+        rc = main([*command, "--extent", bad])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and bad.partition("=")[0] in err
+
+
 def test_unknown_workload_rejected():
     with pytest.raises(SystemExit):
         main(["generate", "nope", "MNK-SST"])
