@@ -36,6 +36,17 @@ may reject a key's first candidate so that a later one survives.  Every
 candidate's fate (passed, or why it was dropped) is one block array, which
 keeps the :class:`EnumerationStats` counters exact at every yield.
 
+A canonical sweep without predicates classifies one candidate in eight.
+The 8 array symmetries act on the table itself, as signed permutations of
+an STT's two space rows, and split it into orbits of exactly 8
+(:func:`_orbit_index`).  A symmetry only permutes and negates the space
+components of every ``T @ d``, so it keeps the filters, the Table I kinds
+and the canonical key, and the first candidate of each key is its orbit's
+first.  Such a walk's block classifies the next orbit firsts and spans the
+table up to the one after, and each other candidate takes its orbit first's
+built-in filter fate, or is a duplicate when that one passed.  Exact sweeps
+and sweeps with predicates classify every candidate.
+
 :func:`enumerate_specs` / :func:`enumerate_designs` remain as thin eager
 wrappers producing the same designs in the same order.
 """
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -188,9 +200,9 @@ class EnumerationStats:
         )
 
 
-#: Candidate block sizes.  The first block is small so that enumeration
-#: bounded by a ``limit`` stays cheap; later blocks double to amortize the
-#: fixed per-block cost.
+#: Block sizes, in classified candidates.  The first block is small so
+#: that enumeration bounded by a ``limit`` stays cheap; later blocks double
+#: to amortize the fixed per-block cost.
 _FIRST_BLOCK = 128
 _MAX_BLOCK = 4096
 
@@ -201,6 +213,52 @@ _CODE = {kind: code for code, kind in enumerate(_KINDS)}
 #: A block candidate's fate, in filter order: it passed, or a built-in
 #: filter, a user predicate or the dedupe rejected it.
 _PASS, _WRONG_TYPE, _UNREALIZABLE, _PREDICATE, _DUPLICATE = range(5)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _orbit_index(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate table's array-symmetry orbits, as two read-only arrays:
+    for each table position, the position of its orbit's first member
+    (int32), and the ascending positions of those first members.
+
+    An orbit is a candidate ``T`` with its images ``S @ T`` for ``S =
+    diag(sigma, 1)``, ``sigma`` one of the 8 signed 2x2 permutations in
+    :data:`_ARRAY_SYMMETRIES`: ``S`` permutes and negates ``T``'s two space
+    rows.  Each image is looked up by its base-``(2 * bound + 1)`` code, which
+    a direct index maps to its table position.  The lookup checks the two
+    facts :func:`iter_specs` relies on: every image is in the table, and no
+    symmetry but the identity fixes a candidate, so every orbit has 8
+    members.  Cached for the life of the process, like the table.
+    """
+    table = _candidate_matrices(bound)
+    radix = 2 * bound + 1
+    cube = radix**3
+    # a row's code is the base-radix number of its entries plus bound, and
+    # the negated row's code is cube - 1 minus it; space_row[a, b] is the
+    # code of a * row0 + b * row1, for each row (a, b) a symmetry can have.
+    # Each row's first entry is cast to int32 before any arithmetic (a
+    # matrix code reaches cube**3 - 1), so no step depends on how NumPy
+    # promotes the int8 table with a Python int.
+    offset = bound * (radix * radix + radix + 1)  # bound added to each entry
+    r0, r1, r2 = (
+        (table[:, k, 0].astype(np.int32) * radix + table[:, k, 1]) * radix
+        + table[:, k, 2]
+        + offset
+        for k in range(3)
+    )
+    space_row = {(1, 0): r0, (-1, 0): cube - 1 - r0, (0, 1): r1, (0, -1): cube - 1 - r1}
+    where = np.full(cube**3, -1, dtype=np.int32)
+    own = np.arange(len(table), dtype=np.int32)
+    where[(r0 * cube + r1) * cube + r2] = own
+    first = own.copy()
+    for row0, row1 in _ARRAY_SYMMETRIES[1:]:
+        image = where[(space_row[row0] * cube + space_row[row1]) * cube + r2]
+        if (image < 0).any() or (image == own).any():
+            raise AssertionError(f"array symmetry {(row0, row1)} does not permute the table freely")
+        np.minimum(first, image, out=first)
+    leaders = np.flatnonzero(first == own)
+    first.flags.writeable = leaders.flags.writeable = False
+    return first, leaders
 
 
 def _first_rows(keys: np.ndarray) -> np.ndarray:
@@ -373,6 +431,11 @@ def iter_specs(
     nearest-neighbour interconnect, matching the paper's synthesized sweeps.
     ``predicates`` are extra user filters applied after the built-in ones and
     before the dedupe; ``stats`` tallies every rejection reason.
+
+    A canonical walk without predicates classifies only the first candidate
+    of each array-symmetry orbit and gives its 7 mates that candidate's
+    built-in filter fate, or ``duplicates`` when it passed; the stream and
+    every ``stats`` field match classifying each candidate.
     """
     check_limit(limit)
     stats = stats if stats is not None else EnumerationStats()
@@ -387,12 +450,38 @@ def iter_specs(
     allowed = None
     if allowed_types is not None:
         allowed = np.array([kind in allowed_types for kind in _KINDS])
+    if canonical and not predicates:
+        # The orbit walk: classify only each orbit's first candidate, and
+        # give its mates its built-in fate, or _DUPLICATE when it passed.
+        # This is exact:
+        # - S = diag(sigma, 1) maps the table onto itself: entries keep
+        #   their magnitudes and the determinant changes sign at most.
+        # - (S @ T) @ d permutes and negates the two space components of
+        #   T @ d.  That keeps |component| <= 1, the zero tests and the zero
+        #   cross product that classify reads, and the set of 8 variants
+        #   whose least sorted oriented code row is the canonical key.
+        # - No S but the identity fixes a full-rank T: that would need a
+        #   zero, equal or opposite pair of space rows.  So every orbit has
+        #   exactly 8 members (_orbit_index checks both facts).
+        # - The first candidate of a key in table order precedes its 7
+        #   mates, so it is its orbit's first.
+        # A predicate may reject an orbit's first and keep a later mate, so
+        # sweeps with predicates keep the full walk.
+        orbit_first, leaders = _orbit_index(bound)
+        built = np.empty(len(table), dtype=np.int8)  # each orbit first's fate
+    else:
+        # every candidate is classified, as the first of an orbit of one
+        orbit_first, leaders = None, np.arange(len(table), dtype=np.int32)
     seen: set[tuple] = set()
     count = 0
-    lo, size = 0, _FIRST_BLOCK
-    while lo < len(table):
-        block = table[lo : lo + size]
-        lo, size = lo + len(block), min(2 * size, _MAX_BLOCK)
+    lo, start, size = 0, 0, _FIRST_BLOCK
+    while start < len(leaders):
+        # a block classifies the next `size` orbit firsts and spans the
+        # table positions [lo, hi) up to the following one
+        picks = leaders[start : start + size]
+        start, size = start + len(picks), min(2 * size, _MAX_BLOCK)
+        hi = leaders[start] if start < len(leaders) else len(table)
+        block = table[picks]
         vecs = blocks.reuse(block)
         kinds = blocks.classify(vecs)
         fates = np.full(len(block), _PASS, dtype=np.int8)
@@ -414,30 +503,39 @@ def iter_specs(
             first = _first_rows(keys)
             rows, keys = rows[first], keys[first]
             fates[rows] = _PASS
+        at = picks - lo  # each block row's position in the span [lo, hi)
+        span = fates  # the fate of each table position in the span
+        if orbit_first is not None:
+            built[picks] = fates
+            # a mate is rejected as its orbit's first was, or duplicates it
+            span = built[orbit_first[lo:hi]]
+            span[span == _PASS] = _DUPLICATE
+            span[at] = fates
         done = 0
-        for i, key in zip(rows.tolist(), map(tuple, keys.tolist())):
+        for i, j, key in zip(rows.tolist(), at[rows].tolist(), map(tuple, keys.tolist())):
             spec = None
             if predicates:
                 spec = blocks.spec(block[i], vecs[i], kinds[i])
                 if not all(pred(spec) for pred in predicates):
-                    fates[i] = _PREDICATE
+                    span[j] = _PREDICATE
                     continue
             if key in seen:
-                fates[i] = _DUPLICATE
+                span[j] = _DUPLICATE
                 continue
             seen.add(key)
             if spec is None:
                 spec = blocks.spec(block[i], vecs[i], kinds[i])
             if canonical:
                 spec.canonical_key = blocks.signature(key, kinds[i].tolist())
-            _tally(stats, fates[done : i + 1])
-            done = i + 1
+            _tally(stats, span[done : j + 1])
+            done = j + 1
             stats.yielded += 1
             yield spec
             count += 1
             if limit is not None and count >= limit:
                 return
-        _tally(stats, fates[done:])
+        _tally(stats, span[done:])
+        lo = hi
 
 
 def enumerate_specs(

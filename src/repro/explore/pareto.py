@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -45,10 +46,11 @@ def pareto_front(
     ranked.sort()
     kept: list[tuple[float, ...]] = []
     for key, index in ranked:
-        # no worse everywhere and not equal: strictly better somewhere
-        if not any(
-            other != key and all(a <= b for a, b in zip(other, key)) for other in kept
-        ):
+        for other in kept:
+            # no worse everywhere and not equal: strictly better somewhere
+            if other != key and all(map(operator.le, other, key)):
+                break
+        else:
             kept.append(key)
             front.append(index)
     front.sort()

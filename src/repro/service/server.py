@@ -212,6 +212,7 @@ class _JobJournal:
         self._pending: list[tuple[str, bytes]] = []
         self._discard: set[str] = set()
         self._files: dict[str, Any] = {}  # job id -> open append handle
+        self._broken: OSError | None = None  # the write or fsync that failed
 
     # -- producer side (any thread, no I/O) -----------------------------
     def append(self, job_id: str, line: bytes) -> None:
@@ -263,21 +264,34 @@ class _JobJournal:
         return handle
 
     def flush(self) -> None:
-        """Write queued lines, one batched fsync per touched job file."""
-        with self._lock:
-            batch, self._pending = self._pending, []
-            drop, self._discard = self._discard, set()
+        """Write queued lines, one batched fsync per touched job file.
+
+        When it returns, every line queued before the call is durable: the
+        batch is taken under the I/O lock, so a flush that finds the queue
+        emptied by a concurrent one waits for that one's fsync.  A failed
+        open, write or fsync breaks the journal: the lines of its batch may
+        be lost, so that flush and every later one raise.
+        """
         with self._io_lock:
+            if self._broken is not None:
+                raise OSError(f"job journal is broken: {self._broken}") from self._broken
+            with self._lock:
+                batch, self._pending = self._pending, []
+                drop, self._discard = self._discard, set()
             touched: dict[str, Any] = {}
-            for job_id, line in batch:
-                if job_id in drop:
-                    continue
-                handle = self._handle(job_id)
-                handle.write(line)
-                touched[job_id] = handle
-            for handle in touched.values():
-                handle.flush()
-                os.fsync(handle.fileno())
+            try:
+                for job_id, line in batch:
+                    if job_id in drop:
+                        continue
+                    handle = self._handle(job_id)
+                    handle.write(line)
+                    touched[job_id] = handle
+                for handle in touched.values():
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            except OSError as exc:
+                self._broken = exc
+                raise
             for job_id in drop:
                 handle = self._files.pop(job_id, None)
                 if handle is not None:
@@ -356,6 +370,9 @@ class EvaluationService:
         #: each appended row and each job status flip, so streams push rows
         #: the moment they exist instead of on a fixed drain cadence.
         self._rows_wake: asyncio.Event | None = None
+        #: True while a ring of :attr:`_rows_wake` is scheduled on the loop
+        #: (see :meth:`_poke_rows_streams`).
+        self._ring_pending = False
 
     # -- lifecycle -----------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0):
@@ -677,7 +694,7 @@ class EvaluationService:
             job_id = path[len("/v1/jobs/") : -len("/rows")]
             await self._job_rows_stream(job_id, params, writer)
         elif method in ("GET", "DELETE") and path.startswith("/v1/jobs/"):
-            self._job_detail(method, path.rsplit("/", 1)[1], writer)
+            await self._job_detail(method, path.rsplit("/", 1)[1], writer)
         else:
             self._json_response(
                 writer,
@@ -764,7 +781,7 @@ class EvaluationService:
                 f'"since" must be an integer row cursor, got {raw!r}'
             ) from None
 
-    def _job_detail(self, method: str, job_id: str, writer) -> None:
+    async def _job_detail(self, method: str, job_id: str, writer) -> None:
         job = self.jobs.get(job_id)
         if job is None:
             self._json_response(
@@ -776,12 +793,18 @@ class EvaluationService:
         if method == "DELETE":
             # report *where* the cancel landed: a queued job dies immediately,
             # a running one stops cooperatively after its current design
-            if job.status == "queued":
+            if job.status == "queued" and not job.cancel_requested:
+                # the runner skips a job flagged here; its end is published
+                # only once the journal holds it, as the runner's are
+                # (a failed flush answers 500 and leaves the job queued)
                 job.cancel_requested = True
-                job.cancelled_while = "queued"
-                job.status = "cancelled"
+                self._journal_end(job, "cancelled", None, "queued")
+                if self._journal is not None:
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, self._journal.flush
+                    )
+                job.status, job.cancelled_while = "cancelled", "queued"
                 job.done.set()
-                self._journal_end(job)
                 self._poke_rows_streams()
             elif job.status == "running":
                 job.cancel_requested = True
@@ -855,10 +878,11 @@ class EvaluationService:
             # lands between check and wait leaves the event set, so the wait
             # below returns immediately instead of missing the wakeup
             self._rows_wake.clear()
-            # capture terminal-ness BEFORE draining: the runner thread only
-            # flips status after its last row is appended, so a drain that
-            # follows a terminal observation is guaranteed complete (checking
-            # after the drain could break with final rows still unshipped)
+            # capture terminal-ness BEFORE draining: status turns terminal
+            # only after the job's last row is appended and its end entry is
+            # durable, so a drain that follows a terminal observation is
+            # complete (checking after the drain could break with final rows
+            # still unshipped)
             terminal = job.status in ("done", "failed", "cancelled")
             if terminal and cursor > len(job.rows):
                 # the job ended short of a stale cursor (a previous life of
@@ -928,16 +952,14 @@ class EvaluationService:
             line = wire.encode_journal_entry(wire.journal_entry(kind, fields))
             self._journal.append(job.id, line)
 
-    def _journal_end(self, job: Job) -> None:
+    def _journal_end(
+        self, job: Job, status: str, error: str | None, cancelled_while: str | None
+    ) -> None:
         """Queue a job's terminal journal entry."""
         self._journal_append(
             job,
             "end",
-            {
-                "status": job.status,
-                "error": job.error,
-                "cancelled_while": job.cancelled_while,
-            },
+            {"status": status, "error": error, "cancelled_while": cancelled_while},
         )
 
     def _keep_job(self, job: Job) -> None:
@@ -978,51 +1000,63 @@ class EvaluationService:
                 self._journal.discard(job.id)
 
     def _poke_rows_streams(self) -> None:
-        """Ring the ``/rows`` doorbell, from any thread (no-op before start)."""
+        """Ring the ``/rows`` doorbell, from any thread (no-op before start).
+
+        At most one wakeup is outstanding: a poke that finds the bell rung
+        and not yet drained, or a ring already scheduled, skips.  A drain
+        clears the bell *before* reading the row log, and the scheduled ring
+        runs after this poke's append, so either way the append is seen; a
+        row burst costs one ``call_soon_threadsafe`` (a self-pipe write and
+        a GIL hand-off to the loop), not one per row.
+        """
         loop, event = self._loop, self._rows_wake
-        if loop is None or event is None:
+        if loop is None or event is None or self._ring_pending or event.is_set():
             return
-        if event.is_set():
-            # already rung and not yet drained — the drain clears the bell
-            # *before* reading the row log, so it will see this append too;
-            # skipping the re-ring keeps a row burst at one wakeup syscall
-            return
+        self._ring_pending = True
         try:
-            loop.call_soon_threadsafe(event.set)
+            loop.call_soon_threadsafe(self._ring_rows_wake, event)
         except RuntimeError:
             pass  # loop already closed mid-shutdown; nothing left to wake
+
+    def _ring_rows_wake(self, event: asyncio.Event) -> None:
+        """The scheduled ring (loop thread): rearm the poke, then wake."""
+        self._ring_pending = False
+        event.set()
 
     async def _run_jobs(self) -> None:
         assert self._job_queue is not None
         loop = asyncio.get_running_loop()
         while True:
             job = await self._job_queue.get()
-            if job.status == "cancelled" or job.cancel_requested:
-                job.status = "cancelled"
-                job.done.set()
-                self._poke_rows_streams()
-                continue
+            if job.cancel_requested:
+                continue  # cancelled while queued: the DELETE handler ends it
             job.status = "running"
-            try:
-                completed = await loop.run_in_executor(None, self._run_sweep_job, job)
-            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                job.status = "failed"
-                job.error = f"{type(exc).__name__}: {exc}"
-            else:
-                if completed:
-                    job.status = "done"
-                else:
-                    job.status = "cancelled"
-                    if job.cancelled_while is None:
-                        job.cancelled_while = "running"
-            self._journal_end(job)
-            if self._journal is not None:
-                # make the terminal state durable before /rows end frames can
-                # report it: a crash after the flip then replays as terminal,
-                # never as a silently re-runnable job
-                await loop.run_in_executor(None, self._journal.flush)
+            # _run_job makes the end entry durable before the status flips,
+            # so no /rows end frame or snapshot reports a terminal state that
+            # a crash could turn back into a resumed job
+            terminal = await loop.run_in_executor(None, self._run_job, job)
+            job.status, job.error, job.cancelled_while = terminal
             job.done.set()
             self._poke_rows_streams()
+
+    def _run_job(self, job: Job) -> tuple[str, str | None, str | None]:
+        """Run ``job``, then queue and flush its end entry (executor thread).
+
+        Returns the terminal ``(status, error, cancelled_while)`` for the
+        loop to publish.
+        """
+        error = None
+        try:
+            status = "done" if self._run_sweep_job(job) else "cancelled"
+        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+            status, error = "failed", f"{type(exc).__name__}: {exc}"
+        cancelled_while = job.cancelled_while
+        if status == "cancelled" and cancelled_while is None:
+            cancelled_while = "running"
+        self._journal_end(job, status, error, cancelled_while)
+        if self._journal is not None:
+            self._journal.flush()
+        return status, error, cancelled_while
 
     def _run_sweep_job(self, job: Job) -> bool:
         """Execute one sweep job; returns False when cancelled mid-run.

@@ -1,6 +1,7 @@
 """The evaluation service: wire protocol, streaming, jobs, shutdown."""
 
 import asyncio
+import errno
 import http.client
 import itertools
 import json
@@ -20,6 +21,7 @@ from repro.api.types import SchemaVersionError
 from repro.ir import workloads
 from repro.perf.model import ArrayConfig
 from repro.service import EvaluationService, RemoteSession, ServiceThread, wire
+from repro.service.server import _JobJournal
 
 from .faultlib import data_rows
 
@@ -438,6 +440,202 @@ class TestJobs:
         """asyncio.Queue(maxsize<=0) is unbounded: refuse, never serve that."""
         with pytest.raises(ValueError, match="max_queued_jobs must be >= 1"):
             EvaluationService(LocalSession(), max_queued_jobs=bound)
+
+
+class _HeldJournal:
+    """Hold every journal flush once an ``end`` entry is queued, until
+    :attr:`release` is set; :attr:`holding` is set when a flush is held."""
+
+    def __init__(self, journal):
+        self.ended, self.holding, self.release = (threading.Event() for _ in range(3))
+        self._append, self._flush = journal.append, journal.flush
+        journal.append, journal.flush = self.append, self.flush
+
+    def append(self, job_id, line):
+        self._append(job_id, line)
+        if line.startswith(b'{"journal": "end"'):
+            self.ended.set()
+
+    def flush(self):
+        if self.ended.is_set():
+            self.holding.set()
+            self.release.wait(60)
+        self._flush()
+
+
+class _FullDisk:
+    """A journal append handle whose writes fail as on a full disk."""
+
+    def write(self, line):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _gated_session():
+    """A session whose first design waits for ``finish``, so that a second
+    job stays queued; ``running`` is set once that design is reached."""
+    session = LocalSession(SMALL_ARRAY)
+    running, finish = threading.Event(), threading.Event()
+    evaluate = session.engine.perf.evaluate
+
+    def gated(spec):
+        running.set()
+        finish.wait(60)
+        return evaluate(spec)
+
+    session.engine.perf.evaluate = gated
+    return session, running, finish
+
+
+class TestDurableTerminalStates:
+    """A terminal status is published only once its journal entry is
+    durable: a crash in between would bring back as ``resumed`` a job that
+    a client already saw end."""
+
+    def test_end_frame_and_snapshot_wait_for_the_end_entry(self, tmp_path):
+        journal_dir = tmp_path / "journal"
+        with ServiceThread(LocalSession(SMALL_ARRAY), journal_dir=journal_dir) as thread:
+            held = _HeldJournal(thread.service._journal)
+            remote = RemoteSession(thread.url)
+            job_id = remote.submit_job(["gemm"], extents=SMALL)["id"]
+            frames = []
+
+            def tail():
+                for frame in RemoteSession(thread.url).iter_job_rows(job_id):
+                    frames.append(frame)
+
+            reader = threading.Thread(target=tail, daemon=True)
+            reader.start()
+            try:
+                assert held.holding.wait(60)
+                assert remote.job(job_id)["status"] == "running"
+                assert [f for f in frames if f["row"] == "end"] == []
+            finally:
+                held.release.set()
+            reader.join(60)
+            assert not reader.is_alive()
+            assert (frames[-1]["row"], frames[-1]["status"]) == ("end", "done")
+            assert remote.job(job_id)["status"] == "done"
+        entries = (journal_dir / f"{job_id}.ndjson").read_bytes().splitlines()
+        assert json.loads(entries[-1])["journal"] == "end"
+
+    def test_flush_waits_for_a_concurrent_flush_of_earlier_lines(self, tmp_path):
+        """A flush that finds the queue already taken returns only once the
+        flush that took it has written it."""
+        journal = _JobJournal(str(tmp_path))
+        journal.append("job-1", b'{"journal": "job"}\n')
+        io_lock, entered, go = journal._io_lock, threading.Event(), threading.Event()
+
+        class Gate:  # the other flush pauses on its way into the I/O lock
+            def __enter__(self):
+                if threading.current_thread() is other:
+                    entered.set()
+                    go.wait(60)
+                return io_lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return io_lock.__exit__(*exc_info)
+
+        journal._io_lock = Gate()
+        other = threading.Thread(target=journal.flush, daemon=True)
+        other.start()
+        try:
+            assert entered.wait(60)
+            journal.flush()
+            assert (tmp_path / "job-1.ndjson").read_bytes() == b'{"journal": "job"}\n'
+        finally:
+            go.set()
+            other.join(60)
+        assert not other.is_alive()
+        journal.close()
+
+    def test_queued_cancel_answers_after_the_end_entry_is_durable(self, tmp_path):
+        session, running, finish = _gated_session()
+        with ServiceThread(session, journal_dir=tmp_path / "journal") as thread:
+            held = _HeldJournal(thread.service._journal)
+            remote = RemoteSession(thread.url)
+            first = remote.submit_job(["gemm"], extents=SMALL)["id"]
+            assert running.wait(60)
+            queued = remote.submit_job(["batched_gemv"], extents=SMALL)["id"]
+            answers = []
+            cancel = threading.Thread(
+                target=lambda: answers.append(RemoteSession(thread.url).cancel_job(queued)),
+                daemon=True,
+            )
+            cancel.start()
+            try:
+                assert held.holding.wait(60)
+                snapshot = remote.job(queued)
+                assert snapshot["status"] == "queued" and snapshot["cancel_requested"]
+                assert answers == []
+            finally:
+                held.release.set()
+                finish.set()
+            cancel.join(60)
+            assert not cancel.is_alive()
+            assert (answers[0]["status"], answers[0]["cancelled_while"]) == ("cancelled", "queued")
+            assert _wait_terminal(remote, first)["status"] == "done"
+            assert remote.job(queued)["status"] == "cancelled"
+
+    def test_a_failed_flush_leaves_a_queued_cancel_unpublished(self, tmp_path):
+        """The DELETE answers the error and the job stays queued, as a job
+        whose end entry fails to flush never turns terminal."""
+        session, running, finish = _gated_session()
+        # a pace tick longer than the test: only the DELETE flushes
+        with ServiceThread(
+            session, journal_dir=tmp_path / "journal", rows_drain_pace=60
+        ) as thread:
+            remote = RemoteSession(thread.url)
+            remote.submit_job(["gemm"], extents=SMALL)
+            try:
+                assert running.wait(60)
+                queued = remote.submit_job(["batched_gemv"], extents=SMALL)["id"]
+                thread.service._journal._handle = lambda job_id: _FullDisk()
+                with pytest.raises(RuntimeError, match="No space left on device"):
+                    remote.cancel_job(queued)
+                snapshot = remote.job(queued)
+                assert snapshot["status"] == "queued" and snapshot["cancel_requested"]
+            finally:
+                finish.set()
+
+    def test_a_failed_write_breaks_the_journal(self, tmp_path):
+        """A flush after a failed one raises too: the failed batch's lines
+        may be lost, so no later flush may report them durable."""
+        journal = _JobJournal(str(tmp_path))
+        journal.append("job-1", b'{"journal": "job"}\n')
+        journal._handle = lambda job_id: _FullDisk()
+        with pytest.raises(OSError, match="No space left on device"):
+            journal.flush()
+        del journal._handle  # the disk recovers
+        journal.append("job-1", b'{"journal": "end"}\n')
+        with pytest.raises(OSError, match="journal is broken"):
+            journal.flush()
+        assert not (tmp_path / "job-1.ndjson").exists()
+
+
+class TestRowsDoorbell:
+    def test_a_row_burst_schedules_one_wakeup(self):
+        class BlockedLoop:  # a loop that has not run its callbacks yet
+            def __init__(self):
+                self.callbacks = []
+
+            def call_soon_threadsafe(self, callback, *args):
+                self.callbacks.append((callback, args))
+
+        service = EvaluationService(LocalSession(SMALL_ARRAY))
+        service._loop = loop = BlockedLoop()
+        service._rows_wake = asyncio.Event()
+        for _ in range(100):
+            service._poke_rows_streams()
+        assert len(loop.callbacks) == 1
+        callback, args = loop.callbacks.pop()
+        callback(*args)
+        assert service._rows_wake.is_set()
+        service._poke_rows_streams()
+        assert loop.callbacks == []  # the bell is still rung: a drain will see the row
+        service._rows_wake.clear()  # a /rows stream drains
+        for _ in range(100):
+            service._poke_rows_streams()
+        assert len(loop.callbacks) == 1
 
 
 class TestJobRowStreaming:
